@@ -1,6 +1,6 @@
 """Static analysis layer: shape checking, gradient-flow lint, repo lint.
 
-Three analyzers behind one :class:`~repro.analyze.findings.Finding` model:
+Every analyzer reports through one :class:`~repro.analyze.findings.Finding` model:
 
 * :mod:`repro.analyze.shapes` — abstract shape/dtype interpreter (SH rules)
 * :mod:`repro.analyze.gradflow` — gradient-flow linter (GF rules)
@@ -8,7 +8,6 @@ Three analyzers behind one :class:`~repro.analyze.findings.Finding` model:
 * :mod:`repro.analyze.engine_support` — capture/replay compilability (EN rules)
 * :mod:`repro.analyze.concurrency` — cross-module lock-discipline lint (CC rules)
 * :mod:`repro.analyze.lockorder` — runtime lock-order sanitizer (witness graph)
-* :mod:`repro.analyze.fixes` — mechanical autofixes (``analyze --fix``)
 
 See ``docs/analysis.md`` for the rule catalog and baseline workflow.
 """
@@ -26,7 +25,6 @@ from .findings import (
     severity_rank,
 )
 from .engine_support import check_engine_support
-from .fixes import FIXABLE_RULES, apply_fixes
 from .gradflow import lint_gradient_flow
 from .lint import LintRule, lint_paths, registered_rules, rule
 from .lockorder import LockOrderSanitizer, LockOrderViolation, checkpoint
@@ -48,7 +46,6 @@ __all__ = [
     "Baseline",
     "CONCURRENCY_RULES",
     "DEFAULT_BASELINE_NAME",
-    "FIXABLE_RULES",
     "Finding",
     "LintRule",
     "LockOrderSanitizer",
@@ -60,7 +57,6 @@ __all__ = [
     "SymbolicShapeError",
     "analyze_concurrency",
     "analyze_models",
-    "apply_fixes",
     "check_engine_support",
     "checkpoint",
     "check_forecast_model",

@@ -7,7 +7,7 @@ held and adds ``held -> acquired`` edges to a global lock-order graph;
 each release pops the per-thread held-set.  At teardown the graph is
 checked for cycles — two threads that ever take the same pair of locks
 in opposite orders produce one, whether or not the schedule actually
-deadlocked on this run.  That turns "the chaos smoke happened to pass"
+deadlocked on this run.  That turns "the chaos test happened to pass"
 into "no interleaving of the observed critical sections can deadlock".
 
 Three judgement surfaces:

@@ -1,5 +1,5 @@
-"""Command-line interface: train, evaluate, compare, inspect, profile,
-verify, chaos, serve, serve-fleet, bench-serve, obs-report.
+"""Command-line interface: train, evaluate, compare, profile, inspect,
+experiments, analyze, verify, obs-report.
 
 Usage::
 
@@ -9,15 +9,15 @@ Usage::
     python -m repro.cli inspect --dataset hzmetro
     python -m repro.cli evaluate --dataset hzmetro --checkpoint model.npz
     python -m repro.cli profile --dataset hzmetro --epochs 1   # hot-op table
+    python -m repro.cli experiments table6 --smoke            # one paper artifact
+    python -m repro.cli analyze             # static analysis vs the baseline
     python -m repro.cli verify              # correctness harness outside pytest
-    python -m repro.cli chaos               # fault-injection recovery smoke
-    python -m repro.cli serve               # serving-layer containment smoke
-    python -m repro.cli serve-fleet         # sharded-fleet chaos smoke
-    python -m repro.cli bench-serve         # serving throughput/latency bench
-    python -m repro.cli bench-serve --fleet # fleet load ramp (max QPS under SLO)
     python -m repro.cli obs-report --spans spans.jsonl   # span-tree analysis
 
-Every command accepts ``--nodes/--days/--seed`` to control the synthetic
+Fault-injection and serving scenarios live in the test suite
+(docs/testing.md); serving latency is measured by ``benchmarks/e2e``.
+
+The dataset commands accept ``--nodes/--days/--seed`` to control the synthetic
 dataset scale, so quick experiments stay quick.  ``--quiet`` silences the
 console (benchmark mode); ``--log-jsonl PATH`` records structured
 per-epoch run logs; ``--trace`` profiles autodiff ops; ``--spans-jsonl
@@ -368,1107 +368,6 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Fault-injection smoke harness: prove the recovery paths fire.
-
-    Two staged scenarios on a tiny synthetic task (docs/resilience.md):
-
-    A. **kill/resume determinism** — a run aborted mid-training (simulated
-       SIGTERM between epochs) and resumed from its checkpoint must finish
-       with the *same* final ``state_hash`` and loss curve as an
-       uninterrupted twin;
-    B. **divergence recovery** — NaN gradients injected mid-run must
-       trigger sentinel → rollback → lr backoff → completed training, with
-       every event visible in the JSONL run log.
-    """
-    import json as _json
-    from pathlib import Path
-
-    from .nn import state_hash
-    from .obs import RunLogger
-    from .resilience import (
-        AbortInjector,
-        DivergenceSentinel,
-        GuardedTrainer,
-        NaNGradientInjector,
-        SimulatedCrash,
-    )
-    from .verify import named_rng
-
-    console = _console(args)
-    task = _load(args)
-    ckpt_dir = Path(args.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-
-    def build_model():
-        return TGCRN(
-            **default_tgcrn_kwargs(task, hidden_dim=args.hidden, node_dim=args.node_dim,
-                                   time_dim=args.time_dim, num_layers=args.layers),
-            rng=named_rng(args.seed, "chaos-model-init"),
-        )
-
-    def config(**overrides):
-        base = dict(epochs=args.epochs, batch_size=args.batch_size,
-                    lambda_time=args.lambda_time, seed=args.seed, verbose=False)
-        base.update(overrides)
-        return TrainingConfig(**base)
-
-    # -- scenario A: kill between epochs, resume, demand bit-compatibility
-    console.print("chaos A: SIGTERM-style abort + resume vs uninterrupted twin")
-    straight = build_model()
-    straight_history = Trainer(config()).fit(straight, task)
-    straight_hash = state_hash(straight)
-
-    ckpt_a = str(ckpt_dir / "chaos_resume.npz")
-    killed = build_model()
-    try:
-        Trainer(config(checkpoint_path=ckpt_a)).fit(
-            killed, task, fault_hook=AbortInjector(epoch=args.epochs // 2))
-        console.print("  FAIL injected abort never fired")
-        failures += 1
-    except SimulatedCrash:
-        resumed = build_model()
-        resumed_history = Trainer(config(checkpoint_path=ckpt_a, resume=True)).fit(resumed, task)
-        hash_ok = state_hash(resumed) == straight_hash
-        curve_ok = (resumed_history.train_losses == straight_history.train_losses
-                    and resumed_history.val_maes == straight_history.val_maes)
-        console.print(f"  {'ok  ' if hash_ok else 'FAIL'} final state_hash "
-                      f"{'matches' if hash_ok else 'differs from'} uninterrupted run")
-        console.print(f"  {'ok  ' if curve_ok else 'FAIL'} loss curves "
-                      f"{'identical' if curve_ok else 'diverged'}")
-        failures += (0 if hash_ok else 1) + (0 if curve_ok else 1)
-
-    # -- scenario B: NaN gradients -> sentinel -> rollback -> recovery
-    console.print("chaos B: injected NaN gradients, rollback + lr backoff recovery")
-    ckpt_b = str(ckpt_dir / "chaos_guard.npz")
-    logger = RunLogger(path=args.log_jsonl, console=False,
-                       metadata={"command": "chaos", "scenario": "nan_rollback"})
-    guarded = GuardedTrainer(
-        Trainer(config(checkpoint_path=ckpt_b)),
-        sentinel=DivergenceSentinel(), max_retries=args.max_retries,
-        lr_backoff=args.lr_backoff,
-    )
-    model_b = build_model()
-    try:
-        history = guarded.fit(model_b, task, logger=logger,
-                              fault_hook=NaNGradientInjector(epoch=args.epochs // 2, batch=0))
-    finally:
-        logger.close()
-    recovered = history.epochs_run == args.epochs and len(guarded.events) == 1
-    console.print(f"  {'ok  ' if recovered else 'FAIL'} run completed after "
-                  f"{len(guarded.events)} divergence event(s)")
-    failures += 0 if recovered else 1
-    if args.log_jsonl:
-        events = [_json.loads(line)["event"] for line in Path(args.log_jsonl).open()]
-        needed = {"divergence", "rollback", "resume", "lr_backoff", "recovered"}
-        logged = needed.issubset(set(events))
-        console.print(f"  {'ok  ' if logged else 'FAIL'} run log records "
-                      f"{sorted(needed & set(events))}")
-        failures += 0 if logged else 1
-
-    # -- scenario C: NaN model at serve time -> breaker -> fallback -> recovery
-    console.print("chaos C: NaN-emitting model behind the serving layer")
-    from .serve import CircuitBreaker, ForecastServer, NaNModel
-
-    serve_logger = RunLogger(path=args.log_jsonl, console=False, mode="a",
-                             metadata={"command": "chaos",
-                                       "scenario": "serve_containment"})
-    nan_model = NaNModel(build_model(), failing=True)
-    server = ForecastServer(
-        nan_model, task, max_batch=2, queue_depth=32,
-        breaker=CircuitBreaker(failure_threshold=2, cooldown=5.0),
-        logger=serve_logger,
-    )
-
-    def fire(count, now, tag):
-        for i in range(count):
-            j = i % len(task.test)
-            server.submit({"window": task.test.inputs[j],
-                           "time_index": task.test.time_indices[j],
-                           "id": f"{tag}-{i}"}, now=now)
-        return server.drain(now=now)
-
-    first = fire(6, now=0.0, tag="nanreq")
-    calls_at_trip = nan_model.calls
-    answered = all(r.source in ("model", "historical_average") for r in first)
-    contained = answered and all(r.source == "historical_average" for r in first)
-    tripped = server.breaker.state == "open" and calls_at_trip == 2
-    console.print(f"  {'ok  ' if contained else 'FAIL'} every request answered by "
-                  "an explicitly-marked fallback (no 5xx, no NaN served)")
-    console.print(f"  {'ok  ' if tripped else 'FAIL'} breaker tripped open after "
-                  f"{calls_at_trip} failing batch(es) (threshold 2)")
-    failures += (0 if contained else 1) + (0 if tripped else 1)
-
-    nan_model.failing = False
-    during_cooldown = fire(2, now=1.0, tag="cooldown")
-    held = all(r.source == "historical_average" for r in during_cooldown)
-    after_cooldown = fire(2, now=10.0, tag="probe")
-    recovered = (server.breaker.state == "closed"
-                 and all(r.source == "model" for r in after_cooldown))
-    console.print(f"  {'ok  ' if held else 'FAIL'} open breaker kept serving the "
-                  "fallback during cooldown")
-    console.print(f"  {'ok  ' if recovered else 'FAIL'} half-open probe closed the "
-                  "breaker after the fault cleared")
-    failures += (0 if held else 1) + (0 if recovered else 1)
-
-    # -- scenario D: checkpoint corrupted between write and warm reload
-    console.print("chaos D: corrupted checkpoint rejected at warm reload")
-    from .resilience import corrupt_checkpoint
-
-    fresh = build_model()
-    fresh.parameters()[0].data[...] += 0.5  # analyze: allow[RL007] distinguishable version hash
-    good_ckpt = str(ckpt_dir / "serve_good.npz")
-    bad_ckpt = str(ckpt_dir / "serve_bad.npz")
-    save_checkpoint(good_ckpt, fresh)
-    save_checkpoint(bad_ckpt, fresh)
-    corrupt_checkpoint(bad_ckpt, mode="truncate")
-    version_before = server.model_version
-    rejected = (not server.reload_checkpoint(bad_ckpt)
-                and server.model_version == version_before)
-    still_serving = fire(1, now=20.0, tag="post-reject")[0].source == "model"
-    swapped = (server.reload_checkpoint(good_ckpt)
-               and server.model_version != version_before)
-    serve_logger.close()
-    console.print(f"  {'ok  ' if rejected else 'FAIL'} integrity hash rejected the "
-                  "corrupt checkpoint; live model untouched")
-    console.print(f"  {'ok  ' if still_serving else 'FAIL'} previously-live model "
-                  "kept serving after the rejected reload")
-    console.print(f"  {'ok  ' if swapped else 'FAIL'} intact checkpoint swapped in "
-                  "atomically afterwards")
-    failures += (0 if rejected else 1) + (0 if still_serving else 1) + (0 if swapped else 1)
-
-    if args.log_jsonl:
-        events = {_json.loads(line)["event"] for line in Path(args.log_jsonl).open()}
-        serve_needed = {"breaker_open", "breaker_half_open", "breaker_closed",
-                        "fallback_served", "checkpoint_rejected", "model_reloaded"}
-        serve_logged = serve_needed.issubset(events)
-        console.print(f"  {'ok  ' if serve_logged else 'FAIL'} serve log records "
-                      f"{sorted(serve_needed & events)}")
-        failures += 0 if serve_logged else 1
-
-    console.print(f"\nchaos: {'FAILED' if failures else 'PASSED'}")
-    return 1 if failures else 0
-
-
-def cmd_serve(args) -> int:
-    """Serving-layer smoke: prove containment under hostile traffic.
-
-    One thread-driven :class:`~repro.serve.ForecastServer` on a tiny
-    synthetic task, walked through six phases (docs/serving.md): healthy
-    traffic, malformed payloads, dead-on-arrival deadlines, a NaN-emitting
-    model (breaker trip + fallback), fault clearance (half-open recovery),
-    and a warm reload with a corrupted-then-intact checkpoint.  Exit 0
-    only if every containment property holds.
-    """
-    import time as _time
-    from pathlib import Path
-
-    from .obs import RunLogger
-    from .resilience import corrupt_checkpoint
-    from .serve import (
-        CircuitBreaker,
-        DeadlineExceededError,
-        ForecastServer,
-        InvalidRequestError,
-        NaNModel,
-        malformed_payloads,
-    )
-    from .verify import named_rng
-
-    console = _console(args)
-    task = _load(args)
-    model = NaNModel(
-        TGCRN(**default_tgcrn_kwargs(task, hidden_dim=args.hidden, node_dim=args.node_dim,
-                                     time_dim=args.time_dim, num_layers=args.layers),
-              rng=named_rng(args.seed, "serve-model-init")),
-        failing=False,
-    )
-    logger = None
-    if args.log_jsonl:
-        logger = RunLogger(path=args.log_jsonl, console=False,
-                           metadata={"command": "serve", "dataset": args.dataset})
-    server = ForecastServer(
-        model, task, queue_depth=args.queue_depth, max_batch=args.max_batch,
-        breaker=CircuitBreaker(failure_threshold=args.failure_threshold,
-                               cooldown=args.cooldown),
-        logger=logger, compile=getattr(args, "compile", False),
-    )
-    collector = None
-    if getattr(args, "spans_jsonl", None):
-        from .obs import SpanCollector
-
-        collector = SpanCollector(path=args.spans_jsonl).install()
-    server.start()
-    failures = 0
-    collected = []
-
-    def payload(i, tag, **extra):
-        j = i % len(task.test)
-        return {"window": task.test.inputs[j],
-                "time_index": task.test.time_indices[j],
-                "id": f"{tag}-{i}", **extra}
-
-    def await_responses(expected, timeout=15.0):
-        stop_at = _time.monotonic() + timeout
-        while len(collected) < expected and _time.monotonic() < stop_at:
-            collected.extend(server.take_responses())
-            _time.sleep(0.005)
-        collected.extend(server.take_responses())
-
-    def check(ok, label):
-        nonlocal failures
-        console.print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failures += 0 if ok else 1
-
-    console.print(f"serve smoke: {task.num_nodes} nodes, queue {args.queue_depth}, "
-                  f"micro-batch {args.max_batch}, breaker threshold "
-                  f"{args.failure_threshold}, cooldown {args.cooldown}s")
-
-    # 1. healthy traffic is served by the model
-    for i in range(args.requests):
-        server.submit(payload(i, "valid"))
-    await_responses(args.requests)
-    healthy = [r for r in collected if r.request_id.startswith("valid-")]
-    check(len(healthy) == args.requests and all(r.source == "model" for r in healthy),
-          f"{len(healthy)}/{args.requests} healthy requests served by the model")
-
-    # 2. malformed payloads are rejected at the front door, per-check
-    catalog = malformed_payloads(server.spec)
-    rejected = 0
-    for code, bad in catalog:
-        try:
-            server.submit(bad)
-        except InvalidRequestError as exc:
-            rejected += int(exc.code == code)
-    check(rejected == len(catalog),
-          f"{rejected}/{len(catalog)} malformed payloads rejected with the right code")
-
-    # 3. dead-on-arrival deadlines are shed at admission
-    doa = 0
-    for i in range(3):
-        try:
-            server.submit(payload(i, "expired", deadline=_time.monotonic() - 1.0))
-        except DeadlineExceededError:
-            doa += 1
-    check(doa == 3, f"{doa}/3 past-deadline requests shed at admission")
-
-    # 4. NaN-emitting model: contained, breaker trips
-    model.failing = True
-    nan_count = args.failure_threshold * args.max_batch
-    for i in range(nan_count):
-        server.submit(payload(i, "nan"))
-    await_responses(args.requests + nan_count)
-    nan_resp = [r for r in collected if r.request_id.startswith("nan-")]
-    check(len(nan_resp) == nan_count
-          and all(r.source == "historical_average" for r in nan_resp),
-          f"{len(nan_resp)}/{nan_count} NaN-era requests answered by the marked fallback")
-    check(server.breaker.state == "open", "breaker tripped open")
-
-    # 5. fault clears; half-open probe closes the breaker
-    model.failing = False
-    _time.sleep(args.cooldown + 0.05)
-    for i in range(args.max_batch):
-        server.submit(payload(i, "probe"))
-    await_responses(args.requests + nan_count + args.max_batch)
-    probe_resp = [r for r in collected if r.request_id.startswith("probe-")]
-    check(server.breaker.state == "closed"
-          and any(r.source == "model" for r in probe_resp),
-          "breaker recovered closed via half-open probe")
-
-    # 6. warm reload: corrupted checkpoint rejected, intact one swapped
-    ckpt_dir = Path(args.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    fresh = TGCRN(**default_tgcrn_kwargs(task, hidden_dim=args.hidden,
-                                         node_dim=args.node_dim, time_dim=args.time_dim,
-                                         num_layers=args.layers),
-                  rng=named_rng(args.seed + 1, "serve-reload-init"))
-    good_ckpt, bad_ckpt = str(ckpt_dir / "good.npz"), str(ckpt_dir / "bad.npz")
-    save_checkpoint(good_ckpt, fresh)
-    save_checkpoint(bad_ckpt, fresh)
-    corrupt_checkpoint(bad_ckpt, mode="truncate")
-    version_before = server.model_version
-    check(not server.reload_checkpoint(bad_ckpt)
-          and server.model_version == version_before,
-          "corrupt checkpoint rejected by integrity hash; live model untouched")
-    check(server.reload_checkpoint(good_ckpt)
-          and server.model_version != version_before,
-          "intact checkpoint swapped in atomically")
-
-    server.stop(drain=True)
-    if collector is not None:
-        # 7. every request produced one complete, single-rooted span tree
-        collector.close()
-        from .obs.report import assemble_traces, check_request_traces
-
-        trees = assemble_traces(collector.records)
-        tcheck = check_request_traces(trees)
-        check(tcheck.ok and tcheck.total > 0,
-              f"{tcheck.complete}/{tcheck.total} request span trees complete "
-              f"({tcheck.orphan_spans} orphan, {tcheck.unfinished_spans} "
-              f"unfinished span(s))")
-        console.print(f"  spans written to {args.spans_jsonl} "
-                      f"({len(collector.records)} spans)")
-    if logger is not None:
-        logger.close()
-    health = server.health()
-    latency = server.metrics.histogram("serve.latency_ms")
-    console.print(f"\nhealth: {health['status']}  breaker {health['breaker']}  "
-                  f"model {health['model_version']}")
-    console.print(f"latency p50 {latency.quantile(0.5):.2f}ms  "
-                  f"p95 {latency.quantile(0.95):.2f}ms  over {latency.count} responses")
-    console.print(f"counters: { {k: int(v) for k, v in health['counters'].items()} }")
-    console.print(f"\nserve: {'FAILED' if failures else 'PASSED'}")
-    return 1 if failures else 0
-
-
-def cmd_serve_fleet(args) -> int:
-    """Fleet chaos smoke: prove failure containment above one server.
-
-    A thread-driven :class:`~repro.serve.ForecastFleet` (graph-partition
-    sharding, consistent-hash routing, retries, hedging, N-1 rolling
-    reloads) on a tiny task, walked through the scenarios in
-    docs/serving.md: healthy traffic, a replica crash mid-batch, a
-    one-shard brownout via :class:`~repro.serve.SlowModel`, degraded
-    health aggregation, rolling reload with a corrupt checkpoint, and
-    the N-1 refusal.  Exit 0 only if every answer is a model output or a
-    *marked* fallback — zero wrong answers — and every request is
-    answered or explicitly shed.
-    """
-    import time as _time
-    from pathlib import Path
-
-    from .obs import RunLogger
-    from .resilience import Backoff, corrupt_checkpoint
-    from .serve import CircuitBreaker, ForecastFleet, SlowModel
-    from .verify import named_rng
-
-    console = _console(args)
-    task = _load(args)
-    sanitizer = None
-    if getattr(args, "lockorder", None):
-        # install before any server/fleet construction: only locks
-        # created while patched are tracked
-        from .analyze.lockorder import LockOrderSanitizer
-
-        sanitizer = LockOrderSanitizer().install()
-    if getattr(args, "procs", False):
-        rc = _serve_fleet_procs(args, console, task)
-        if sanitizer is not None:
-            report = _finish_lockorder(sanitizer, args.lockorder, console)
-            ok = report["ok"]
-            console.print(f"  {'ok  ' if ok else 'FAIL'} lock-order sanitizer: "
-                          f"{len(report['cycles'])} cycle(s), "
-                          f"{len(report['checkpoint_violations'])} "
-                          f"checkpoint violation(s)")
-            if not ok and rc == 0:
-                rc = 1
-        return rc
-
-    def tgcrn_for(sub_task, name):
-        return TGCRN(**default_tgcrn_kwargs(sub_task, hidden_dim=args.hidden,
-                                            node_dim=args.node_dim,
-                                            time_dim=args.time_dim,
-                                            num_layers=args.layers),
-                     rng=named_rng(args.seed, name))
-
-    # Partition on a learned-style adjacency: the TagSL static backbone
-    # of a full-graph model (random-init here — the smoke exercises the
-    # partition path, not forecast quality).
-    from .graph import learned_adjacency, partition_nodes
-
-    adjacency = learned_adjacency(tgcrn_for(task, "fleet-partition-model"))
-    partition = partition_nodes(adjacency, args.shards)
-
-    slow_models: dict[str, SlowModel] = {}
-
-    def factory(sub_task, shard_id, replica_id):
-        wrapped = SlowModel(tgcrn_for(sub_task, f"fleet-{replica_id}"), delay=0.0)
-        slow_models[replica_id] = wrapped
-        return wrapped
-
-    logger = None
-    if args.log_jsonl:
-        logger = RunLogger(path=args.log_jsonl, console=False,
-                           metadata={"command": "serve-fleet",
-                                     "dataset": args.dataset})
-    collector = None
-    if getattr(args, "spans_jsonl", None):
-        from .obs import SpanCollector
-
-        collector = SpanCollector(path=args.spans_jsonl).install()
-    fleet = ForecastFleet(
-        task, factory,
-        num_shards=args.shards, replicas_per_shard=args.replicas,
-        partition=partition,
-        queue_depth=args.queue_depth, max_batch=args.max_batch,
-        max_attempts=3, backoff=Backoff(base=0.01, max_delay=0.1),
-        replica_timeout=args.replica_timeout, hedge_after=args.hedge_after,
-        breaker_factory=lambda rid: CircuitBreaker(
-            failure_threshold=3, cooldown=0.5),
-        logger=logger,
-    )
-    fleet.start()
-    failures = 0
-    collected = []
-
-    def payload(i, tag, **extra):
-        j = i % len(task.test)
-        return {"window": task.test.inputs[j],
-                "time_index": task.test.time_indices[j],
-                "id": f"{tag}-{i}", **extra}
-
-    def await_responses(expected, timeout=20.0):
-        stop_at = _time.monotonic() + timeout
-        while len(collected) < expected and _time.monotonic() < stop_at:
-            collected.extend(fleet.take_responses())
-            _time.sleep(0.005)
-        collected.extend(fleet.take_responses())
-
-    def check(ok, label):
-        nonlocal failures
-        console.print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failures += 0 if ok else 1
-
-    def contained(responses):
-        """True when every response is a model answer, a *marked*
-        fallback, or an explicit shed — never silence, never an
-        unmarked degraded prediction (the zero-wrong-answers bar)."""
-        for r in responses:
-            if r.source == "shed":
-                if r.prediction is not None:
-                    return False
-            elif r.prediction is None or not np.all(np.isfinite(r.prediction)):
-                return False
-            elif (r.source != "model") != r.degraded:
-                return False
-        return True
-
-    console.print(
-        f"fleet smoke: {task.num_nodes} nodes -> {args.shards} shards x "
-        f"{args.replicas} replicas, cut fraction "
-        f"{fleet.partition.cut_fraction:.3f}")
-
-    # 1. healthy traffic: every shard answers from its model
-    n1 = args.requests
-    for i in range(n1):
-        fleet.submit(payload(i, "healthy"))
-    await_responses(n1)
-    healthy = [r for r in collected if r.request_id.startswith("healthy-")]
-    check(len(healthy) == n1 and all(r.source == "model" for r in healthy),
-          f"{len(healthy)}/{n1} healthy requests answered entirely by models")
-
-    # 2. replica crash mid-batch: the victim wedges (accepts work,
-    #    answers nothing), then dies holding requests — everything it
-    #    swallowed must fail over, nothing may go unanswered
-    n2 = args.requests
-    victim = fleet.replicas[0]
-    victim.pause()
-    for i in range(n2 // 2):
-        fleet.submit(payload(i, "crash"))
-    _time.sleep(0.1)  # let the router hand sub-requests to the wedged replica
-    victim.kill()     # ... which now dies holding them
-    for i in range(n2 // 2, n2):
-        fleet.submit(payload(i, "crash"))
-    await_responses(n1 + n2)
-    crash = [r for r in collected if r.request_id.startswith("crash-")]
-    failovers = int(fleet.metrics.counter("fleet.failovers").value)
-    check(len(crash) == n2 and contained(crash) and failovers >= 1,
-          f"{len(crash)}/{n2} answered across the crash of {victim.id} "
-          f"(failovers={failovers}, "
-          f"retries={int(fleet.metrics.counter('fleet.retries').value)})")
-
-    # 3. one-shard brownout: SlowModel on every replica of the last shard
-    brown_shard = fleet.shards[-1]
-    for rep in brown_shard.replicas:
-        slow_models[rep.id].delay = args.brownout_delay
-    n3 = args.requests
-    deadline_s = args.brownout_deadline
-    t0 = _time.monotonic()
-    for i in range(n3):
-        fleet.submit(payload(i, "brown", deadline=_time.monotonic() + deadline_s))
-    await_responses(n1 + n2 + n3)
-    tail = _time.monotonic() - t0
-    for rep in brown_shard.replicas:
-        slow_models[rep.id].delay = 0.0
-    brown = [r for r in collected if r.request_id.startswith("brown-")]
-    answered = [r for r in brown if r.source != "shed"]
-    check(len(brown) == n3 and contained(brown),
-          f"{len(brown)}/{n3} answered-or-shed through shard-"
-          f"{brown_shard.shard_id} brownout ({len(answered)} answered, "
-          f"{n3 - len(answered)} shed)")
-    bound = deadline_s + args.brownout_delay + 2.0
-    check(tail < bound,
-          f"brownout tail bounded: {tail:.2f}s for {n3} requests < {bound:.2f}s")
-
-    # 4. fleet health: degraded (a replica is dead) but still available
-    health = fleet.health()
-    check(health["status"] in ("degraded", "ok") and fleet.ready(),
-          f"fleet {health['status']} and ready with {victim.id} down "
-          "(every shard keeps a live replica)")
-
-    # 5. rolling reload under light load: corrupt candidate rejected,
-    #    the swap never drops a shard below N-1
-    ckpt_dir = Path(args.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    victim.revive()
-    victim.resume()  # un-wedge too, or it sits routable-but-silent forever
-    checkpoints = {}
-    for shard in fleet.shards:
-        sub_task = task.node_subset(shard.nodes)
-        fresh = tgcrn_for(sub_task, f"fleet-reload-s{shard.shard_id}")
-        path = str(ckpt_dir / f"shard{shard.shard_id}.npz")
-        save_checkpoint(path, fresh)
-        checkpoints[shard.shard_id] = path
-    corrupt_checkpoint(checkpoints[fleet.shards[-1].shard_id], mode="truncate")
-    for i in range(args.requests):
-        fleet.submit(payload(i, "reload"))
-    versions_before = {r.id: r.server.model_version for r in fleet.replicas}
-    records = fleet.rolling_reload(checkpoints)
-    await_responses(n1 + n2 + n3 + args.requests)
-    good = [r for r in records if r["action"] == "reloaded"]
-    bad = [r for r in records if r["action"] == "rejected"]
-    check(len(good) == (args.shards - 1) * args.replicas
-          and all(r["available_during"] >= 1 for r in records),
-          f"rolling reload swapped {len(good)} replica(s), never below N-1")
-    last = [r.id for r in fleet.shards[-1].replicas]
-    check(len(bad) == args.replicas
-          and all(fleet.replica(rid).server.model_version == versions_before[rid]
-                  for rid in last),
-          f"corrupt checkpoint rejected on {len(bad)} replica(s); "
-          "old models kept serving")
-    reloads = [r for r in collected if r.request_id.startswith("reload-")]
-    check(len(reloads) == args.requests and contained(reloads),
-          f"{len(reloads)}/{args.requests} requests answered during the reload")
-
-    # 6. N-1 floor: with one replica left in a shard, reload is refused
-    spare = fleet.shards[0]
-    for rep in spare.replicas[1:]:
-        rep.kill()
-    refused = fleet.rolling_reload({spare.shard_id: checkpoints[spare.shard_id]})
-    check(any(r["action"] == "refused" for r in refused)
-          and all(r["action"] in ("refused", "skipped") for r in refused),
-          f"reload refused for the last replica of shard {spare.shard_id} "
-          "(structured N-1 refusal; dead replicas skipped)")
-    for rep in spare.replicas[1:]:
-        rep.revive()
-
-    fleet.stop(drain=True)
-    if collector is not None:
-        # 7. every fleet request produced one complete router->replica tree
-        collector.close()
-        from .obs.report import assemble_traces, check_fleet_traces
-
-        trees = assemble_traces(collector.records)
-        tcheck = check_fleet_traces(trees)
-        check(tcheck.ok and tcheck.total > 0,
-              f"{tcheck.complete}/{tcheck.total} fleet span trees complete "
-              f"({tcheck.orphan_spans} orphan, {tcheck.unfinished_spans} "
-              f"unfinished span(s))")
-        console.print(f"  spans written to {args.spans_jsonl} "
-                      f"({len(collector.records)} spans)")
-    if sanitizer is not None:
-        # 8. no interleaving of the observed critical sections can
-        #    deadlock, and no fault fired inside one
-        report = _finish_lockorder(sanitizer, args.lockorder, console)
-        check(report["ok"],
-              f"lock-order sanitizer: {report['edges']} edge(s), "
-              f"{len(report['cycles'])} cycle(s), "
-              f"{len(report['checkpoint_violations'])} checkpoint violation(s)")
-    if logger is not None:
-        logger.close()
-    health = fleet.health()
-    latency = fleet.metrics.histogram("fleet.latency_ms")
-    console.print(f"\nhealth: {health['status']}  "
-                  f"shards {[(s['shard_id'], s['healthy_replicas']) for s in health['shards']]}")
-    console.print(f"latency p50 {latency.quantile(0.5):.2f}ms  "
-                  f"p95 {latency.quantile(0.95):.2f}ms  over {latency.count} responses")
-    console.print(f"counters: { {k: int(v) for k, v in health['counters'].items()} }")
-    console.print(f"\nserve-fleet: {'FAILED' if failures else 'PASSED'}")
-    return 1 if failures else 0
-
-
-def _finish_lockorder(sanitizer, path, console) -> dict:
-    """Uninstall the sanitizer, export the witness graph, return the report."""
-    sanitizer.uninstall()
-    report = sanitizer.report()
-    sanitizer.export_jsonl(path)
-    console.print(f"  lock-order graph: {path} "
-                  f"({report['locks']} lock(s), {report['edges']} edge(s))")
-    return report
-
-
-def _serve_fleet_procs(args, console, task) -> int:
-    """Kill-based chaos smoke against the process-isolated fleet.
-
-    Unlike the thread-mode smoke (which stages faults through
-    router-side seams), every fault here is *real*: replicas are forked
-    children behind the socket transport (docs/serving.md, "Process
-    isolation"), the crash is a genuine ``SIGKILL`` mid-batch, the wedge
-    is a child that stops heartbeating *and* ignores SIGTERM (forcing
-    the supervisor's kill escalation), the crash loop is repeated kills
-    until the restart budget parks the replica, and the wire corruption
-    is damaged bytes on the socket.  Exit 0 requires 100%
-    answered-or-shed, supervisor recovery within budget, the
-    crash-looper parked, complete cross-process span trees, and zero
-    orphan replica processes after ``fleet.stop()``.
-    """
-    import os as _os
-    import signal as _signal
-    import time as _time
-
-    from .obs import RunLogger
-    from .resilience import Backoff, RestartPolicy
-    from .serve import ForecastFleet
-    from .verify import named_rng
-
-    def factory(sub_task, shard_id, replica_id):
-        # Runs in the forked child: the model never crosses the wire.
-        return TGCRN(**default_tgcrn_kwargs(sub_task, hidden_dim=args.hidden,
-                                            node_dim=args.node_dim,
-                                            time_dim=args.time_dim,
-                                            num_layers=args.layers),
-                     rng=named_rng(args.seed, f"fleet-{replica_id}"))
-
-    logger = None
-    if args.log_jsonl:
-        logger = RunLogger(path=args.log_jsonl, console=False,
-                           metadata={"command": "serve-fleet --procs",
-                                     "dataset": args.dataset})
-    collector = None
-    if getattr(args, "spans_jsonl", None):
-        from .obs import SpanCollector
-
-        collector = SpanCollector(path=args.spans_jsonl).install()
-
-    policy = RestartPolicy(max_restarts=3, window_s=20.0,
-                           ready_deadline_s=60.0,
-                           heartbeat_timeout_s=1.0, term_deadline_s=1.0)
-    fleet = ForecastFleet(
-        task, factory,
-        num_shards=args.shards, replicas_per_shard=args.replicas,
-        queue_depth=args.queue_depth, max_batch=args.max_batch,
-        max_attempts=3, backoff=Backoff(base=0.01, max_delay=0.1),
-        replica_timeout=args.replica_timeout, hedge_after=args.hedge_after,
-        transport="process", restart_policy=policy,
-        proc_kwargs={"heartbeat_interval": 0.1, "ack_timeout": 5.0,
-                     "ready_timeout": 120.0},
-        logger=logger,
-    )
-    fleet.start()
-    failures = 0
-    collected = []
-    seen_pids = set()
-
-    def snapshot_pids():
-        for rep in fleet.replicas:
-            pid = getattr(rep.server, "pid", None)
-            if pid:
-                seen_pids.add(pid)
-
-    def payload(i, tag, **extra):
-        j = i % len(task.test)
-        return {"window": task.test.inputs[j],
-                "time_index": task.test.time_indices[j],
-                "id": f"{tag}-{i}", **extra}
-
-    def await_responses(expected, timeout=60.0):
-        stop_at = _time.monotonic() + timeout
-        while len(collected) < expected and _time.monotonic() < stop_at:
-            collected.extend(fleet.take_responses())
-            _time.sleep(0.005)
-        collected.extend(fleet.take_responses())
-
-    def await_state(replica_id, predicate, timeout=30.0):
-        stop_at = _time.monotonic() + timeout
-        while _time.monotonic() < stop_at:
-            if predicate():
-                return True
-            _time.sleep(0.02)
-        return predicate()
-
-    def check(ok, label):
-        nonlocal failures
-        console.print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failures += 0 if ok else 1
-
-    def contained(responses):
-        for r in responses:
-            if r.source == "shed":
-                if r.prediction is not None:
-                    return False
-            elif r.prediction is None or not np.all(np.isfinite(r.prediction)):
-                return False
-            elif (r.source != "model") != r.degraded:
-                return False
-        return True
-
-    def sup_counter(name):
-        return int(fleet.metrics.counter(name).value)
-
-    snapshot_pids()
-    console.print(
-        f"process-fleet smoke: {task.num_nodes} nodes -> {args.shards} shards "
-        f"x {args.replicas} replicas, pids "
-        f"{[rep.server.pid for rep in fleet.replicas]}")
-
-    # 1. healthy traffic across the socket transport
-    n1 = args.requests
-    for i in range(n1):
-        fleet.submit(payload(i, "healthy"))
-    await_responses(n1)
-    healthy = [r for r in collected if r.request_id.startswith("healthy-")]
-    check(len(healthy) == n1 and all(r.source == "model" for r in healthy),
-          f"{len(healthy)}/{n1} healthy requests answered entirely by models")
-
-    # 2. real SIGKILL mid-batch: submit, kill the child holding work,
-    #    submit more — everything answered-or-shed, supervisor restarts
-    victim = fleet.shards[0].replicas[0]
-    victim_pid = victim.server.pid
-    n2 = args.requests
-    for i in range(n2 // 2):
-        fleet.submit(payload(i, "crash"))
-    _os.kill(victim_pid, _signal.SIGKILL)
-    for i in range(n2 // 2, n2):
-        fleet.submit(payload(i, "crash"))
-    await_responses(n1 + n2)
-    crash = [r for r in collected if r.request_id.startswith("crash-")]
-    check(len(crash) == n2 and contained(crash),
-          f"{len(crash)}/{n2} answered-or-shed across SIGKILL of {victim.id} "
-          f"(pid {victim_pid}, failovers="
-          f"{int(fleet.metrics.counter('fleet.failovers').value)})")
-    recovered = await_state(
-        victim.id,
-        lambda: (fleet.supervisor.state(victim.id) == "running"
-                 and not victim.killed and victim.server.pid != victim_pid))
-    snapshot_pids()
-    check(recovered and fleet.supervisor.restart_count(victim.id) >= 1,
-          f"supervisor restarted {victim.id} within budget "
-          f"(pid {victim_pid} -> {victim.server.pid}, "
-          f"restarts={fleet.supervisor.restart_count(victim.id)})")
-
-    # 3. wedged child ignoring SIGTERM: heartbeats stop, the watchdog
-    #    TERMs, the deadline passes, SIGKILL escalation recovers it
-    wedged = fleet.shards[-1].replicas[0]
-    wedged_pid = wedged.server.pid
-    wedged.server.inject_wedge(ignore_term=True)
-    n3 = args.requests
-    for i in range(n3):
-        fleet.submit(payload(i, "wedge"))
-    await_responses(n1 + n2 + n3)
-    wedge_rs = [r for r in collected if r.request_id.startswith("wedge-")]
-    check(len(wedge_rs) == n3 and contained(wedge_rs),
-          f"{len(wedge_rs)}/{n3} answered-or-shed around the wedged {wedged.id}")
-    escalated = await_state(
-        wedged.id,
-        lambda: (sup_counter("supervisor.kill_escalations") >= 1
-                 and fleet.supervisor.state(wedged.id) == "running"
-                 and wedged.server.pid != wedged_pid))
-    snapshot_pids()
-    check(escalated,
-          f"watchdog TERMed the silent {wedged.id}, escalated to SIGKILL "
-          f"(escalations={sup_counter('supervisor.kill_escalations')}), "
-          "and restarted it")
-
-    # 4. crash loop: keep killing one replica until the restart budget
-    #    parks it; its shard keeps serving on the surviving replica
-    looper = fleet.shards[0].replicas[1]
-    kills = 0
-    stop_at = _time.monotonic() + 90.0
-    while (not fleet.supervisor.is_parked(looper.id)
-           and _time.monotonic() < stop_at):
-        pid = looper.server.pid
-        if (pid and looper.server.is_alive()
-                and fleet.supervisor.state(looper.id) == "running"):
-            seen_pids.add(pid)
-            try:
-                _os.kill(pid, _signal.SIGKILL)
-                kills += 1
-            except OSError:  # analyze: allow[RL006] victim already dead: exactly what we want
-                pass
-        _time.sleep(0.02)  # analyze: allow[RL010] chaos kill pacing, not a retry loop
-    check(fleet.supervisor.is_parked(looper.id)
-          and sup_counter("supervisor.parked") == 1,
-          f"crash-looping {looper.id} parked after {kills} kills "
-          f"(budget {policy.max_restarts} restarts/{policy.window_s:.0f}s)")
-    n4 = args.requests
-    for i in range(n4):
-        fleet.submit(payload(i, "parked"))
-    await_responses(n1 + n2 + n3 + n4)
-    parked_rs = [r for r in collected if r.request_id.startswith("parked-")]
-    check(len(parked_rs) == n4 and contained(parked_rs) and fleet.ready(),
-          f"{len(parked_rs)}/{n4} answered with {looper.id} parked "
-          "(shard held by its surviving replica)")
-
-    # 5. corrupt wire frames: recoverable tiers are dropped and counted
-    #    by the child, which keeps serving
-    target = fleet.shards[-1].replicas[-1]
-    target.server.inject_corrupt_frame("crc")
-    target.server.inject_corrupt_frame("payload")
-    n5 = args.requests
-    for i in range(n5):
-        fleet.submit(payload(i, "wire"))
-    await_responses(n1 + n2 + n3 + n4 + n5)
-    wire_rs = [r for r in collected if r.request_id.startswith("wire-")]
-    counted = await_state(
-        target.id,
-        lambda: target.server.health().get("corrupt_frames", 0) >= 2,
-        timeout=10.0)
-    check(len(wire_rs) == n5 and contained(wire_rs) and counted
-          and target.server.is_alive(),
-          f"{len(wire_rs)}/{n5} answered through wire corruption "
-          f"({target.server.health().get('corrupt_frames', 0)} corrupt "
-          f"frame(s) dropped by {target.id}, child alive)")
-
-    # 6. drain, stop, stitched traces, zero orphans
-    snapshot_pids()
-    fleet.stop(drain=True)
-    if collector is not None:
-        collector.close()
-        from .obs.report import assemble_traces, check_fleet_traces
-
-        trees = assemble_traces(collector.records)
-        tcheck = check_fleet_traces(trees)
-        check(tcheck.ok and tcheck.total > 0,
-              f"{tcheck.complete}/{tcheck.total} cross-process span trees "
-              f"complete ({tcheck.orphan_spans} orphan, "
-              f"{tcheck.unfinished_spans} unfinished span(s))")
-        console.print(f"  spans written to {args.spans_jsonl} "
-                      f"({len(collector.records)} spans)")
-    orphans = []
-    for pid in sorted(seen_pids):
-        try:
-            _os.kill(pid, 0)
-        except OSError:
-            continue
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                state = fh.read().rsplit(")", 1)[1].split()[0]
-        except OSError:
-            continue
-        if state != "Z":
-            orphans.append(pid)
-    check(not orphans,
-          f"zero orphan replica processes across {len(seen_pids)} pid(s)"
-          + (f" -- still alive: {orphans}" if orphans else ""))
-    if logger is not None:
-        logger.close()
-    console.print(
-        f"\nsupervisor: restarts={sup_counter('supervisor.restarts')} "
-        f"kill_escalations={sup_counter('supervisor.kill_escalations')} "
-        f"parked={sup_counter('supervisor.parked')} "
-        f"unresponsive={sup_counter('supervisor.unresponsive')}")
-    console.print(f"\nserve-fleet --procs: {'FAILED' if failures else 'PASSED'}")
-    return 1 if failures else 0
-
-
-def _bench_fleet(args, console, task) -> int:
-    """Closed-loop load generator against a ForecastFleet.
-
-    Ramps offered concurrency level by level; each level keeps a fixed
-    number of requests in flight (closed loop: a completion immediately
-    funds the next submission) and reports p50/p95/p99 latency,
-    throughput, and the degraded/shed rate.  The headline is
-    ``max_sustainable_qps``: the highest measured throughput among
-    levels that still meet the latency SLO with essentially no sheds.
-    """
-    import json as _json
-    import time as _time
-
-    from .resilience import Backoff
-    from .serve import FleetOverloadedError, ForecastFleet
-    from .verify import named_rng
-
-    def factory(sub_task, shard_id, replica_id):
-        return TGCRN(**default_tgcrn_kwargs(sub_task, hidden_dim=args.hidden,
-                                            node_dim=args.node_dim,
-                                            time_dim=args.time_dim,
-                                            num_layers=args.layers),
-                     rng=named_rng(args.seed, f"bench-fleet-{replica_id}"))
-
-    fleet = ForecastFleet(
-        task, factory,
-        num_shards=args.shards, replicas_per_shard=args.replicas,
-        queue_depth=args.queue_depth, max_batch=args.max_batch,
-        backoff=Backoff(base=0.005, max_delay=0.05),
-        replica_timeout=2.0,
-    )
-    levels = [int(v) for v in str(args.concurrency).split(",") if v.strip()]
-    deadline_s = args.deadline_ms / 1000.0
-    results = []
-    console.print(f"bench-serve --fleet: {args.shards} shards x {args.replicas} "
-                  f"replicas, {args.requests} requests/level, "
-                  f"SLO p95 <= {args.slo_p95_ms:.0f}ms")
-    for concurrency in levels:
-        latencies = []
-        shed = degraded = rejected = completed = 0
-        submitted = 0
-        seq = 0
-        started = _time.perf_counter()
-        while completed < args.requests:
-            while (submitted - completed) < concurrency and submitted < args.requests:
-                j = seq % len(task.test)
-                seq += 1
-                try:
-                    fleet.submit({
-                        "window": task.test.inputs[j],
-                        "time_index": task.test.time_indices[j],
-                        "deadline": fleet._clock() + deadline_s,
-                    })
-                    submitted += 1
-                except FleetOverloadedError:
-                    rejected += 1
-                    break
-            for response in fleet.process_once():
-                completed += 1
-                if response.source == "shed":
-                    shed += 1
-                    continue
-                if response.degraded:
-                    degraded += 1
-                latencies.append(response.latency_ms)
-        elapsed = _time.perf_counter() - started
-        latencies.sort()
-
-        def pct(p):
-            if not latencies:
-                return float("nan")
-            return latencies[min(len(latencies) - 1,
-                                 int(p / 100.0 * len(latencies)))]
-
-        qps = completed / elapsed if elapsed > 0 else 0.0
-        bad_rate = (shed + rejected) / max(1, completed + rejected)
-        sustainable = (bool(latencies) and pct(95) <= args.slo_p95_ms
-                       and bad_rate <= args.max_shed_rate)
-        level = {
-            "concurrency": concurrency,
-            "requests": completed,
-            "seconds": elapsed,
-            "throughput_qps": qps,
-            "latency_ms": {"p50": pct(50), "p95": pct(95), "p99": pct(99)},
-            "shed": shed,
-            "rejected": rejected,
-            "degraded": degraded,
-            "sustainable": sustainable,
-        }
-        results.append(level)
-        console.print(
-            f"  c={concurrency:<3d} {qps:8.1f} qps  p50 {pct(50):7.2f}ms  "
-            f"p95 {pct(95):7.2f}ms  p99 {pct(99):7.2f}ms  "
-            f"shed {shed}  degraded {degraded}  "
-            f"{'OK' if sustainable else 'over SLO'}")
-    sustainable_qps = [r["throughput_qps"] for r in results if r["sustainable"]]
-    payload = {
-        "name": "fleet_serve",
-        "scale": "quick",
-        "ts": _time.time(),
-        "data": {
-            "topology": {"shards": args.shards, "replicas": args.replicas,
-                         "nodes": task.num_nodes, "max_batch": args.max_batch,
-                         "cut_fraction": fleet.partition.cut_fraction},
-            "slo": {"p95_ms": args.slo_p95_ms,
-                    "max_shed_rate": args.max_shed_rate,
-                    "deadline_ms": args.deadline_ms},
-            "levels": results,
-            "max_sustainable_qps": max(sustainable_qps) if sustainable_qps else 0.0,
-        },
-    }
-    console.print(f"max sustainable QPS under SLO: "
-                  f"{payload['data']['max_sustainable_qps']:.1f}")
-    if args.out:
-        from .ioutil import atomic_write_text
-
-        atomic_write_text(args.out, _json.dumps(payload, indent=2) + "\n")
-        console.print(f"result written to {args.out}")
-    return 0 if sustainable_qps else 1
-
-
-def cmd_bench_serve(args) -> int:
-    """Closed-loop serving benchmark: throughput and latency percentiles.
-
-    Drives the synchronous core directly (no worker thread) so the
-    numbers measure validation + batching + inference, not thread
-    scheduling jitter.  With ``--fleet`` the target is a sharded
-    :class:`~repro.serve.ForecastFleet` and the run ramps concurrency to
-    find the max sustainable QPS under the latency SLO.
-    """
-    import json as _json
-    import time as _time
-
-    from .obs import SpanCollector
-    from .obs.report import assemble_traces, stage_breakdown
-    from .serve import ForecastServer
-    from .verify import named_rng
-
-    console = _console(args)
-    task = _load(args)
-    if getattr(args, "fleet", False):
-        return _bench_fleet(args, console, task)
-    model = TGCRN(**default_tgcrn_kwargs(task, hidden_dim=args.hidden,
-                                         node_dim=args.node_dim, time_dim=args.time_dim,
-                                         num_layers=args.layers),
-                  rng=named_rng(args.seed, "bench-serve-init"))
-    server = ForecastServer(model, task, queue_depth=args.queue_depth,
-                            max_batch=args.max_batch)
-    # Spans stay on for the whole bench: the per-stage breakdown (queue
-    # wait vs batch assembly vs predict) comes straight from the trees.
-    collector = SpanCollector(path=getattr(args, "spans_jsonl", None)).install()
-    submitted = 0
-    started = _time.perf_counter()
-    try:
-        while submitted < args.requests:
-            wave = min(args.max_batch, args.requests - submitted)
-            for i in range(wave):
-                j = (submitted + i) % len(task.test)
-                server.submit({"window": task.test.inputs[j],
-                               "time_index": task.test.time_indices[j]})
-            server.drain()
-            submitted += wave
-        elapsed = _time.perf_counter() - started
-    finally:
-        collector.close()
-    responses = server.take_responses()
-    model_served = sum(r.source == "model" for r in responses)
-    latency = server.metrics.histogram("serve.latency_ms")
-    batch = server.metrics.histogram("serve.batch_size")
-    breakdown = stage_breakdown(assemble_traces(collector.records))
-    stages = {
-        "queue_wait": breakdown.get("queue_wait"),
-        "batch_assembly": breakdown.get("batch_assembly"),
-        "predict": breakdown.get("predict"),
-        "total": breakdown.get("request"),
-    }
-    result = {
-        "requests": args.requests,
-        "seconds": elapsed,
-        "throughput_rps": args.requests / elapsed,
-        "latency_ms": {"p50": latency.quantile(0.5), "p95": latency.quantile(0.95),
-                       "mean": latency.mean},
-        "stages": stages,
-        "mean_batch_size": batch.mean,
-        "model_served": model_served,
-        "nodes": task.num_nodes,
-        "max_batch": args.max_batch,
-    }
-    console.print(f"bench-serve: {args.requests} requests in {elapsed:.2f}s "
-                  f"= {result['throughput_rps']:.1f} req/s")
-    console.print(f"latency p50 {result['latency_ms']['p50']:.2f}ms  "
-                  f"p95 {result['latency_ms']['p95']:.2f}ms  "
-                  f"mean batch {batch.mean:.1f}")
-    for name in ("queue_wait", "batch_assembly", "predict", "total"):
-        stats = stages.get(name)
-        if stats:
-            console.print(f"  {name:<15} p50 {stats['p50']:8.3f}ms  "
-                          f"p95 {stats['p95']:8.3f}ms  p99 {stats['p99']:8.3f}ms  "
-                          f"(n={stats['count']})")
-    if args.out:
-        from .ioutil import atomic_write_text
-
-        atomic_write_text(args.out, _json.dumps(result, indent=2) + "\n")
-        console.print(f"result written to {args.out}")
-    return 0 if model_served == args.requests else 1
-
-
 def cmd_verify(args) -> int:
     """Run the repro.verify harness: cross-checks, gradient oracle, golden trace."""
     from pathlib import Path
@@ -1577,16 +476,6 @@ def cmd_analyze(args) -> int:
             console.print("analyze: no changed python files")
             return 0
 
-    if args.fix:
-        from .analyze import apply_fixes
-
-        fix_paths = paths if paths is not None else [Path(args.root) / "src" / "repro"]
-        fixed = apply_fixes(fix_paths, root=args.root, rules=rules)
-        for entry in fixed:
-            detail = ", ".join(f"{rule} x{n}" for rule, n in sorted(entry["fixes"].items()))
-            console.print(f"fixed {entry['display']}: {detail}")
-        console.print(f"--fix rewrote {len(fixed)} file(s)")
-
     report = run_analysis(
         root=args.root,
         paths=paths,
@@ -1617,84 +506,6 @@ def cmd_analyze(args) -> int:
                           f"fix them or re-baseline with --update-baseline)")
             return 1
     console.print("\nanalyze: PASSED")
-    return 0
-
-
-def cmd_compile_smoke(args) -> int:
-    """Prove compiled training matches eager bitwise; report the speedup.
-
-    Trains the same tiny TGCRN twice from identical seeds — once eager,
-    once through the capture/replay engine (docs/engine.md) — then
-    compares loss curves and final parameter hashes with zero tolerance
-    and writes a before/after epoch-time artifact for CI.
-    """
-    import json
-    from pathlib import Path
-
-    from .ioutil import atomic_write_text
-    from .verify import named_rng, state_hash
-
-    console = _console(args)
-    task = load_task("hzmetro", num_nodes=args.nodes, num_days=args.days,
-                     seed=args.seed)
-
-    def run(compile: bool):
-        model = TGCRN(
-            num_nodes=task.num_nodes, in_dim=task.in_dim, out_dim=task.out_dim,
-            horizon=task.horizon, hidden_dim=args.hidden, num_layers=1,
-            node_dim=4, time_dim=4, steps_per_day=task.steps_per_day,
-            rng=named_rng(args.seed, "compile-smoke-model"),
-        )
-        trainer = Trainer(TrainingConfig(
-            epochs=args.epochs, batch_size=16, seed=args.seed,
-            verbose=False, compile=compile))
-        history = trainer.fit(model, task)
-        return history, state_hash(model), trainer.last_engine
-
-    eager_hist, eager_hash, _ = run(False)
-    compiled_hist, compiled_hash, engine = run(True)
-
-    mismatches = []
-    if eager_hist.train_losses != compiled_hist.train_losses:
-        mismatches.append("train_losses")
-    if eager_hist.val_maes != compiled_hist.val_maes:
-        mismatches.append("val_maes")
-    if eager_hash != compiled_hash:
-        mismatches.append("final_state_hash")
-
-    eager_s = float(np.mean(eager_hist.epoch_seconds))
-    compiled_s = float(np.mean(compiled_hist.epoch_seconds))
-    artifact = {
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "bitwise_match": not mismatches,
-        "mismatches": mismatches,
-        "eager": {"seconds_per_epoch": eager_s,
-                  "epoch_seconds": list(eager_hist.epoch_seconds),
-                  "train_losses": list(eager_hist.train_losses),
-                  "state_hash": eager_hash},
-        "compiled": {"seconds_per_epoch": compiled_s,
-                     "epoch_seconds": list(compiled_hist.epoch_seconds),
-                     "train_losses": list(compiled_hist.train_losses),
-                     "state_hash": compiled_hash,
-                     "engine": engine.stats if engine is not None else {}},
-        "compiled_over_eager": compiled_s / eager_s if eager_s else None,
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out, json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-
-    console.print(f"eager:    {eager_s:.3f}s/epoch")
-    console.print(f"compiled: {compiled_s:.3f}s/epoch "
-                  f"({compiled_s / eager_s:.2f}x eager, "
-                  f"{engine.stats['replays']} replay(s))")
-    console.print(f"artifact: {out}")
-    if mismatches:
-        console.print(f"\ncompile-smoke: FAILED ({', '.join(mismatches)} diverged "
-                      f"between eager and compiled)")
-        return 1
-    console.print("\ncompile-smoke: PASSED (loss curves and parameters "
-                  "bitwise-identical)")
     return 0
 
 
@@ -1841,118 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run at smoke-test scale (1 epoch, 6 nodes)")
     experiments.set_defaults(fn=cmd_experiments)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection smoke harness: abort+resume determinism and "
-             "NaN-gradient rollback recovery on a tiny task",
-    )
-    _add_dataset_args(chaos)
-    _add_training_args(chaos)
-    _add_obs_args(chaos)
-    chaos.add_argument("--checkpoint-dir", default="artifacts/chaos",
-                       help="directory for the scenario checkpoints")
-    chaos.add_argument("--max-retries", type=int, default=2)
-    chaos.add_argument("--lr-backoff", type=float, default=0.5)
-    chaos.set_defaults(fn=cmd_chaos, epochs=4, nodes=5, days=4,
-                       hidden=4, node_dim=3, time_dim=3, layers=1)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serving-layer containment smoke: valid, malformed, past-deadline, "
-             "NaN-chaos, and warm-reload traffic through the forecast server",
-    )
-    _add_dataset_args(serve)
-    _add_obs_args(serve)
-    serve.add_argument("--requests", type=int, default=8,
-                       help="healthy requests in the first phase")
-    serve.add_argument("--queue-depth", type=int, default=64,
-                       help="admission bound (ServiceOverloadedError beyond it)")
-    serve.add_argument("--max-batch", type=int, default=4,
-                       help="micro-batch coalescing budget")
-    serve.add_argument("--failure-threshold", type=int, default=2,
-                       help="consecutive failing batches before the breaker opens")
-    serve.add_argument("--cooldown", type=float, default=0.25,
-                       help="seconds the breaker stays open before half-open probing")
-    serve.add_argument("--checkpoint-dir", default="artifacts/serve",
-                       help="directory for the warm-reload scenario checkpoints")
-    serve.add_argument("--compile", action="store_true",
-                       help="serve through the capture/replay engine: one plan "
-                            "per micro-batch shape bucket, bitwise-identical "
-                            "predictions (docs/engine.md)")
-    serve.set_defaults(fn=cmd_serve, nodes=6, days=5,
-                       hidden=8, node_dim=4, time_dim=4, layers=1)
-
-    serve_fleet = sub.add_parser(
-        "serve-fleet",
-        help="fleet chaos smoke: sharded/replicated serving with a replica "
-             "crash, a one-shard brownout, and rolling N-1 reloads",
-    )
-    _add_dataset_args(serve_fleet)
-    _add_obs_args(serve_fleet)
-    serve_fleet.add_argument("--requests", type=int, default=8,
-                             help="requests per scenario phase")
-    serve_fleet.add_argument("--shards", type=int, default=2,
-                             help="node-partition shards")
-    serve_fleet.add_argument("--replicas", type=int, default=2,
-                             help="replicas per shard")
-    serve_fleet.add_argument("--queue-depth", type=int, default=64)
-    serve_fleet.add_argument("--max-batch", type=int, default=4)
-    serve_fleet.add_argument("--replica-timeout", type=float, default=1.0,
-                             help="seconds before an unanswered dispatch fails over")
-    serve_fleet.add_argument("--hedge-after", type=float, default=0.5,
-                             help="seconds before a dispatch is hedged to the "
-                                  "next replica in the ring")
-    serve_fleet.add_argument("--brownout-delay", type=float, default=0.2,
-                             help="SlowModel delay injected into one shard")
-    serve_fleet.add_argument("--brownout-deadline", type=float, default=1.5,
-                             help="request deadline budget during the brownout")
-    serve_fleet.add_argument("--checkpoint-dir", default="artifacts/serve-fleet",
-                             help="directory for the rolling-reload checkpoints")
-    serve_fleet.add_argument("--procs", action="store_true",
-                             help="run the kill-based chaos tier instead: "
-                                  "process-isolated replicas over the socket "
-                                  "transport, real SIGKILL mid-batch, a wedged "
-                                  "child ignoring SIGTERM, crash-loop parking, "
-                                  "and corrupt wire frames (docs/serving.md)")
-    serve_fleet.add_argument("--lockorder", default=None, metavar="PATH",
-                             help="install the runtime lock-order sanitizer and "
-                                  "export the witness graph (JSONL) to PATH; any "
-                                  "acquisition-order cycle or lock held across a "
-                                  "chaos/fault checkpoint fails the smoke")
-    serve_fleet.set_defaults(fn=cmd_serve_fleet, nodes=8, days=5,
-                             hidden=8, node_dim=4, time_dim=4, layers=1)
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="closed-loop serving benchmark: throughput and latency percentiles",
-    )
-    _add_dataset_args(bench_serve)
-    _add_obs_args(bench_serve)
-    bench_serve.add_argument("--requests", type=int, default=64)
-    bench_serve.add_argument("--max-batch", type=int, default=8)
-    bench_serve.add_argument("--queue-depth", type=int, default=128)
-    bench_serve.add_argument("--out", default=None, metavar="PATH",
-                             help="write the machine-readable JSON result here")
-    bench_serve.add_argument("--fleet", action="store_true",
-                             help="target a sharded fleet and ramp closed-loop "
-                                  "concurrency to find max sustainable QPS "
-                                  "under the latency SLO")
-    bench_serve.add_argument("--shards", type=int, default=2,
-                             help="fleet shards (with --fleet)")
-    bench_serve.add_argument("--replicas", type=int, default=2,
-                             help="replicas per shard (with --fleet)")
-    bench_serve.add_argument("--concurrency", default="1,2,4,8",
-                             help="comma-separated closed-loop concurrency "
-                                  "levels to ramp through (with --fleet)")
-    bench_serve.add_argument("--slo-p95-ms", type=float, default=250.0,
-                             help="p95 latency objective defining 'sustainable'")
-    bench_serve.add_argument("--max-shed-rate", type=float, default=0.01,
-                             help="max tolerated shed+reject fraction per level")
-    bench_serve.add_argument("--deadline-ms", type=float, default=2000.0,
-                             help="per-request deadline budget (with --fleet)")
-    bench_serve.set_defaults(fn=cmd_bench_serve, nodes=6, days=5,
-                             hidden=8, node_dim=4, time_dim=4, layers=1)
-
     analyze = sub.add_parser(
         "analyze",
         help="static analysis: AST lint over src/repro plus symbolic shape "
@@ -1978,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "exists (default: error)")
     analyze.add_argument("--no-models", action="store_true",
                          help="skip the symbolic model checks (lint only)")
-    analyze.add_argument("--fix", action="store_true",
-                         help="apply the mechanical autofixes (RL003 "
-                              "write_text->atomic_write_text, RL006 silent "
-                              "except->logged handler) before linting")
     analyze.add_argument("--changed-only", action="store_true",
                          help="lint only files changed vs git HEAD "
                               "(fast pre-commit mode; skips model checks)")
@@ -2006,23 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--quiet", action="store_true",
                         help="suppress console output (exit code still reports pass/fail)")
     verify.set_defaults(fn=cmd_verify)
-
-    compile_smoke = sub.add_parser(
-        "compile-smoke",
-        help="train tiny TGCRN eager and compiled; gate on bitwise-identical "
-             "loss curves and write an epoch-time artifact (docs/engine.md)",
-    )
-    compile_smoke.add_argument("--epochs", type=int, default=3)
-    compile_smoke.add_argument("--seed", type=int, default=0)
-    compile_smoke.add_argument("--nodes", type=int, default=4)
-    compile_smoke.add_argument("--days", type=int, default=4)
-    compile_smoke.add_argument("--hidden", type=int, default=8)
-    compile_smoke.add_argument("--out", default="compile_smoke.json", metavar="PATH",
-                               help="JSON artifact with eager/compiled epoch "
-                                    "times and the match verdict")
-    compile_smoke.add_argument("--quiet", action="store_true",
-                               help="suppress console output (exit code still gates)")
-    compile_smoke.set_defaults(fn=cmd_compile_smoke)
 
     obs_report = sub.add_parser(
         "obs-report",

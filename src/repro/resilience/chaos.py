@@ -1,12 +1,12 @@
 """Deterministic fault injectors: prove the recovery paths actually fire.
 
 Resilience code that is never exercised is decoration.  Every injector
-here is seedable/deterministic so tests (and the ``repro.cli chaos``
-smoke harness) can stage a precise failure — NaN gradients at a chosen
-step, a SIGTERM-style abort between epochs, checkpoint truncation or
-bit-flips, transient dataset-read failures — and assert the matching
-recovery path (sentinel → rollback, checkpoint → resume, integrity hash
-→ :class:`~repro.nn.CheckpointCorruptionError`, IO retry) engages.
+here is seedable/deterministic so tests can stage a precise failure —
+NaN gradients at a chosen step, a SIGTERM-style abort between epochs,
+checkpoint truncation or bit-flips, transient dataset-read failures —
+and assert the matching recovery path (sentinel → rollback, checkpoint
+→ resume, integrity hash → :class:`~repro.nn.CheckpointCorruptionError`,
+IO retry) engages.
 
 Injector catalog (docs/resilience.md):
 

@@ -11,8 +11,7 @@ model parameters, best-so-far parameters, optimizer moments, scheduler
 position, named RNG bit-generator states, and the
 :class:`~repro.training.trainer.TrainingHistory` — so a killed run
 resumed from its checkpoint finishes with the *same* ``state_hash`` and
-loss curve as an uninterrupted one (asserted by the tier-1 resume test
-and the ``repro.cli chaos`` harness).
+loss curve as an uninterrupted one (asserted by the tier-1 resume test).
 
 Writes are atomic (``repro.ioutil``) and integrity-hashed: a truncated or
 bit-flipped file raises :class:`~repro.nn.CheckpointCorruptionError`

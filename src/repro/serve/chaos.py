@@ -84,7 +84,7 @@ def malformed_payloads(spec) -> list[tuple[str, dict]]:
 
     Returns ``(expected_code, payload)`` pairs; every payload must be
     rejected with :class:`~repro.serve.InvalidRequestError` carrying that
-    code (asserted by tests and the ``serve`` smoke harness).
+    code (asserted by ``tests/test_serve_validation.py``).
     """
     good_window = np.zeros(spec.window_shape)
     good_times = np.arange(spec.span)

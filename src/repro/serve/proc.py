@@ -24,7 +24,7 @@ Two failure tiers, deliberately distinct:
 * :class:`WireCorruptFrameError` — the header framed correctly but the
   payload is damaged (CRC mismatch, unpicklable).  The stream is still
   in sync, so the frame is **dropped and counted** and the connection
-  keeps serving (the chaos smoke injects exactly this).
+  keeps serving (the process-fleet chaos tests inject exactly this).
 * :class:`WireDesyncError` — bad magic or an absurd length: the byte
   stream itself can no longer be trusted.  The child exits (the
   supervisor restarts it); the parent marks the replica down.
@@ -506,8 +506,8 @@ class ProcReplicaClient:
     (responses, heartbeats, span backhaul), and ``health`` serves the
     last heartbeat.  Lifecycle (``spawn``/``respawn``/``terminate_process``
     /``kill_process``/``close``) and chaos (``inject_wedge``,
-    ``inject_corrupt_frame``) are what the supervisor and the kill-chaos
-    smoke drive.
+    ``inject_corrupt_frame``) are what the supervisor and the
+    process-fleet chaos tests drive.
     """
 
     def __init__(

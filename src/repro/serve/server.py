@@ -114,16 +114,6 @@ class ForecastServer:
         :class:`~repro.analyze.shapes.ModelShapeError` on error-severity
         findings, and :meth:`reload_checkpoint` rejects a candidate that
         fails the same check while the live model keeps serving.
-    compile:
-        When True, the live model is wrapped in
-        :class:`~repro.autodiff.engine.CompiledModel` so steady-state
-        inference replays a captured execution plan (docs/engine.md)
-        instead of re-dispatching every op.  Outputs are bitwise
-        identical to eager; any guard violation (shape drift, mutated
-        parameters) falls back to eager for that batch and logs a
-        ``plan_invalidated`` record.  Checkpoints swapped in by
-        :meth:`reload_checkpoint` are wrapped the same way, with a fresh
-        engine (old plans are tied to the old parameter buffers).
     """
 
     def __init__(
@@ -142,7 +132,6 @@ class ForecastServer:
         logger=None,
         clock=time.monotonic,
         shape_check: bool = True,
-        compile: bool = False,
         slo: SLOMonitor | None | bool = None,
         slo_ready_gate: bool = False,
     ):
@@ -163,8 +152,7 @@ class ForecastServer:
         )
 
         self._model_lock = threading.RLock()
-        self._compile = compile
-        self._model = self._prepare_model(model)
+        self._model = model
         self._model_version = self._version_of(model)
         self._model_factory = model_factory or (lambda: copy.deepcopy(model))
         self._fallback = HistoricalAverage.for_task(task)
@@ -584,7 +572,7 @@ class ForecastServer:
         version = self._version_of(candidate)
         with self._model_lock:
             old = self._model_version
-            self._model = self._prepare_model(candidate)
+            self._model = candidate
             self._model_version = version
         self.metrics.counter("serve.reloads").inc()
         self._log("model_reloaded", path=str(path), old_version=old,
@@ -595,25 +583,11 @@ class ForecastServer:
 
     # -- plumbing ------------------------------------------------------- #
 
-    def _prepare_model(self, model):
-        """Wrap ``model`` for serving; identity unless ``compile=True``.
-
-        Each live model gets its *own* engine: captured plans hold
-        references to the exact parameter buffers they were traced over,
-        so a reloaded checkpoint must never inherit the previous model's
-        plans.
-        """
-        if not self._compile:
-            return model
-        from ..autodiff.engine import CompiledModel
-
-        return CompiledModel(model, label="serve", logger=self.logger)
-
     def _shape_errors(self, model) -> list:
         """Error-severity findings from the static shape check (or [])."""
         if not self._shape_check:
             return []
-        from ..analyze.shapes import check_micro_batch_shapes, check_served_model
+        from ..analyze.shapes import check_served_model
         from ..nn import Module
 
         # Chaos/fault wrappers delegate to an inner model; check that one
@@ -623,15 +597,7 @@ class ForecastServer:
             model = model.inner
         if not isinstance(model, Module):
             return []
-        if self._compile:
-            # Compiled serving captures one plan per input signature, so
-            # every merge size the micro-batcher can emit becomes its own
-            # shape bucket — verify all of them statically (SH008 catches
-            # batch-dim inflexibility before a bucket hits the engine).
-            findings = check_micro_batch_shapes(
-                model, self.task, max_batch=self.batcher.max_batch)
-        else:
-            findings = check_served_model(model, self.task)
+        findings = check_served_model(model, self.task)
         self.metrics.counter("serve.shape_check_findings").inc(len(findings))
         errors = [f for f in findings if f.severity == "error"]
         if errors:

@@ -374,22 +374,6 @@ class TestCli:
             "--baseline", str(tmp_path / "baseline.json"), "--quiet",
         ]) == 0
 
-    def test_analyze_cli_fix_rewrites_and_passes(self, tmp_path):
-        from repro.cli import main
-
-        victim = tmp_path / "raw_write.py"
-        victim.write_text(
-            "from pathlib import Path\n\n\n"
-            "def save(payload):\n"
-            "    Path('out.json').write_text(payload)\n"
-        )
-        assert main([
-            "analyze", "--no-models", "--paths", str(victim),
-            "--baseline", str(tmp_path / "baseline.json"),
-            "--rules", "RL003", "--fix", "--quiet",
-        ]) == 0  # fixed in the same run, so the gate passes
-        assert "atomic_write_text" in victim.read_text()
-
     def test_analyze_cli_changed_only_in_clean_tree(self, tmp_path):
         """--changed-only with no changed files exits 0 without scanning."""
         import subprocess

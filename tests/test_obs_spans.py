@@ -5,13 +5,15 @@ explicit ``Span`` capture across thread handoffs), the strict no-op
 contract when nothing is collecting, unfinished/orphan evidence, the
 Chrome-trace merge, and — end to end — that a threaded
 :class:`~repro.serve.ForecastServer` produces one complete single-rooted
-tree per request.
+tree per request, which ``obs-report --fail-on incomplete`` accepts.
 """
 
+import json
 import threading
 
 import pytest
 
+from repro.cli import main
 from repro.core import TGCRN
 from repro.obs import (
     SpanCollector,
@@ -199,8 +201,9 @@ class TestServerSpans:
         server.stop(drain=False)
 
     def test_worker_thread_requests_form_complete_trees(
-            self, tiny_task, threaded_server):
-        collector = SpanCollector().install()
+            self, tiny_task, threaded_server, tmp_path):
+        spans_path = tmp_path / "spans.jsonl"
+        collector = SpanCollector(path=spans_path).install()
         try:
             threaded_server.start(poll_interval=0.002)
             for i in range(8):
@@ -227,6 +230,14 @@ class TestServerSpans:
         stages = {c.name for c in tree.root.children}
         assert {"admission", "queue_wait"} <= stages
         assert "predict" in stages or "fallback" in stages
+
+        # The same stream read back from disk through the obs-report CLI.
+        report_path = tmp_path / "obs-report.json"
+        assert main(["obs-report", "--spans", str(spans_path), "--out", str(report_path),
+                     "--fail-on", "incomplete", "--quiet"]) == 0
+        report = json.loads(report_path.read_text())["spans"]
+        assert report["check"]["complete"] == 8 and report["check"]["ok"]
+        assert {"queue_wait", "predict"} <= set(report["stages"])
 
     def test_rejected_submission_still_closes_its_tree(
             self, tiny_task, threaded_server):

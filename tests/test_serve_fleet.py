@@ -1,12 +1,15 @@
 """ForecastFleet: sharding, routing, failover, hedging, deadlines, traces.
 
-Everything runs on an injected :class:`FakeClock` with ``jitter=0``
-backoff, so retry schedules, timeouts, and hedges are exact — no test
-sleeps.  Replica faults are staged through the router-side seams
-(``kill``/``pause``) rather than thread timing.
+Thread-transport tests run on an injected :class:`FakeClock` with
+``jitter=0`` backoff, so retry schedules, timeouts, and hedges are
+exact — no test sleeps.  Replica faults are staged through the
+router-side seams (``kill``/``pause``) rather than thread timing.
+Process-transport tests run real children on the real clock: kills are
+real signals and the supervisor's watchdog runs on real seconds.
 """
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -24,18 +27,21 @@ from repro.serve import (
     FleetOverloadedError,
     ForecastFleet,
     InvalidRequestError,
+    SlowModel,
 )
 from repro.training import default_tgcrn_kwargs
 from repro.verify import named_rng
 
 
 @pytest.fixture(autouse=True)
-def lockorder_sanitizer():
+def lockorder_sanitizer(tmp_path):
     """Run every fleet test under the lock-order sanitizer.
 
     Any two tests' threads taking fleet/server locks in opposite orders
     — or a replica kill/pause seam firing while a lock is held — fails
     the test at teardown, whether or not the schedule deadlocked here.
+    The witness graph is written to ``lockorder.jsonl`` in the test's
+    ``tmp_path`` first, so a failure leaves the evidence behind.
     """
     from repro.analyze import LockOrderSanitizer
 
@@ -44,6 +50,7 @@ def lockorder_sanitizer():
         yield sanitizer
     finally:
         sanitizer.uninstall()
+    sanitizer.export_jsonl(tmp_path / "lockorder.jsonl")
     sanitizer.check()
 
 
@@ -73,7 +80,7 @@ def _payload(task, i, rid=None, **extra):
             "id": rid or f"req-{i}", **extra}
 
 
-def _make_fleet(task, clock, **overrides):
+def _make_fleet(task, clock, factory=None, **overrides):
     kwargs = dict(
         num_shards=2, replicas_per_shard=2, queue_depth=8, max_batch=4,
         max_attempts=3, backoff=Backoff(base=0.01, factor=2.0, jitter=0.0),
@@ -81,7 +88,7 @@ def _make_fleet(task, clock, **overrides):
         metrics=MetricsRegistry(run="fleet-test"),
     )
     kwargs.update(overrides)
-    return ForecastFleet(task, _factory, **kwargs)
+    return ForecastFleet(task, factory or _factory, **kwargs)
 
 
 def _run(fleet, clock, want, step=0.05, rounds=200):
@@ -126,17 +133,32 @@ def _make_proc_fleet(task, **overrides):
     return ForecastFleet(task, _factory, **kwargs)
 
 
-def _run_real(fleet, want, budget=30.0):
-    """Real-clock pump loop for process-transport fleets."""
-    collected = []
+def _pump_until(fleet, condition, budget=30.0):
+    """Real-clock pump loop for process-transport fleets: run router
+    rounds (and so supervisor polls) until ``condition()`` holds.
+
+    Returns as soon as it does; the budget only bounds a broken run.
+    """
     end = time.monotonic() + budget
     while time.monotonic() < end:
         fleet.process_once()
-        collected.extend(fleet.take_responses())
-        if len(collected) >= want:
-            return collected
+        if condition():
+            return True
         time.sleep(0.005)
-    raise AssertionError(f"only {len(collected)}/{want} responses after {budget}s")
+    return condition()
+
+
+def _run_real(fleet, want, budget=30.0):
+    """Pump until ``want`` responses land; returns them."""
+    collected = []
+
+    def landed():
+        collected.extend(fleet.take_responses())
+        return len(collected) >= want
+
+    if not _pump_until(fleet, landed, budget):
+        raise AssertionError(f"only {len(collected)}/{want} responses after {budget}s")
+    return collected
 
 
 def _assert_no_orphans(pids):
@@ -428,6 +450,38 @@ class TestBackpressureAndDeadlines:
         assert _counter(fleet, "fleet.shed") == 1
         _assert_contained(tiny_task, [response])
 
+    def test_one_shard_brownout_is_bounded_by_the_deadline(self, tiny_task, clock):
+        """Every replica of shard 1 turns slow: each batch costs ``delay``
+        on the fake clock.  Deadlines must cut the brownout short —
+        every request answered or shed, nothing wrong, and the last
+        answer lands within one slow batch (plus a margin) of the
+        deadline instead of after the whole backlog."""
+        delay, deadline_s, n = 0.25, 1.0, 12
+
+        def factory(sub_task, shard_id, replica_id):
+            model = _factory(sub_task, shard_id, replica_id)
+            if shard_id == 1:
+                return SlowModel(model, delay=delay, sleep=clock.advance)
+            return model
+
+        fleet = _make_fleet(tiny_task, clock, factory, max_batch=2, hedge_after=0.5)
+        t0 = clock()
+        for i in range(n):
+            fleet.submit(_payload(tiny_task, i, rid=f"brown-{i}",
+                                  deadline=t0 + deadline_s), now=clock())
+        responses = _run(fleet, clock, want=n)
+        tail = clock() - t0
+
+        assert sorted(r.request_id for r in responses) == sorted(
+            f"brown-{i}" for i in range(n))
+        _assert_contained(tiny_task, responses)
+        assert any(r.source == "model" for r in responses), "brownout served nothing"
+        assert any(r.source != "model" for r in responses), "deadline never bit"
+        # The router pumps the two slow replicas one after the other, so
+        # the round that crosses the deadline may still run one batch on
+        # the second of them: that batch is the margin.
+        assert tail <= deadline_s + delay + delay, f"brownout tail {tail:.2f}s"
+
     def test_draining_fleet_refuses_new_work(self, tiny_task, fleet, clock):
         fleet.stop(drain=True)
         with pytest.raises(FleetOverloadedError, match="draining"):
@@ -565,11 +619,8 @@ class TestChaosContainment:
                     rep.resume()
                 # Pump until the un-wedged children flush their stale
                 # work back (late responses carry the closing spans).
-                end = time.monotonic() + 10.0
-                while (_counter(fleet, "fleet.late_responses") < 1
-                       and time.monotonic() < end):
-                    fleet.process_once()
-                    time.sleep(0.01)
+                _pump_until(fleet, lambda: _counter(fleet, "fleet.late_responses") >= 1,
+                            budget=10.0)
                 fleet.process_once()
             finally:
                 pids = [getattr(rep.server, "pid", None) for rep in fleet.replicas]
@@ -581,3 +632,123 @@ class TestChaosContainment:
         assert fleet_check.total == 3
         assert fleet_check.incomplete == []
         assert fleet_check.complete == 3
+
+
+#: The restart policy the process-fleet chaos runs use: one second of
+#: heartbeat silence gets a SIGTERM, one more second of ignoring it gets
+#: a SIGKILL, and a fourth death inside the window parks the replica.
+CHAOS_POLICY = RestartPolicy(max_restarts=3, window_s=20.0, ready_deadline_s=15.0,
+                             heartbeat_timeout_s=1.0, term_deadline_s=1.0)
+
+
+class TestProcessSupervision:
+    """Real faults against a supervised process fleet.
+
+    Each test kills, wedges or corrupts a forked replica for real and
+    checks that the supervisor recovers it (or parks it) while the
+    fleet keeps every answer contained.  Teardown stops the fleet and
+    checks that no replica pid the test ever saw is still running.
+    """
+
+    @pytest.fixture
+    def supervised(self, tiny_task):
+        fleet = _make_proc_fleet(tiny_task, restart_policy=CHAOS_POLICY)
+        seen = set()
+
+        def snapshot():
+            seen.update(rep.server.pid for rep in fleet.replicas if rep.server.pid)
+
+        snapshot()
+        yield fleet, snapshot
+        snapshot()
+        fleet.stop(drain=False)
+        _assert_no_orphans(sorted(seen))
+
+    @staticmethod
+    def _submit(fleet, task, tag, n=8):
+        ids = [fleet.submit(_payload(task, i, rid=f"{tag}-{i}")) for i in range(n)]
+        responses = _run_real(fleet, want=n)
+        assert sorted(r.request_id for r in responses) == sorted(ids)
+        _assert_contained(task, responses)
+        return ids, responses
+
+    @staticmethod
+    def _running_again(fleet, rep, old_pid):
+        return lambda: (fleet.supervisor.state(rep.id) == "running"
+                        and not rep.killed and rep.server.pid != old_pid)
+
+    def test_sigkilled_replica_is_restarted_with_a_new_pid(self, tiny_task, supervised):
+        fleet, snapshot = supervised
+        victim = fleet.shards[0].replicas[0]
+        old_pid = victim.server.pid
+        # Wedge first so the victim is holding sub-requests when it dies.
+        assert victim.server.inject_wedge()
+        ids = [fleet.submit(_payload(tiny_task, i, rid=f"crash-{i}")) for i in range(8)]
+        held = [rid for rid in ids if fleet.shards[0].ring.owner(rid) == victim.id]
+        assert held, "hash spread left the victim idle"
+        fleet.process_once()
+        assert victim.server.outstanding > 0
+        os.kill(old_pid, signal.SIGKILL)
+
+        responses = _run_real(fleet, want=len(ids))
+        _assert_contained(tiny_task, responses)
+        assert all(r.source == "model" for r in responses)
+        assert _counter(fleet, "fleet.failovers") >= 1
+        assert _pump_until(fleet, self._running_again(fleet, victim, old_pid))
+        snapshot()
+        assert fleet.supervisor.restart_count(victim.id) == 1
+        self._submit(fleet, tiny_task, "after")
+
+    def test_wedged_child_ignoring_sigterm_is_killed_and_restarted(
+            self, tiny_task, supervised):
+        fleet, snapshot = supervised
+        wedged = fleet.shards[1].replicas[0]
+        old_pid = wedged.server.pid
+        assert wedged.server.inject_wedge(ignore_term=True)
+        self._submit(fleet, tiny_task, "wedge")
+
+        assert _pump_until(fleet, self._running_again(fleet, wedged, old_pid))
+        snapshot()
+        assert _counter(fleet, "supervisor.unresponsive") == 1
+        assert _counter(fleet, "supervisor.kill_escalations") == 1
+        assert fleet.supervisor.restart_count(wedged.id) == 1
+
+    def test_crash_loop_is_parked_while_the_shard_keeps_answering(
+            self, tiny_task, supervised):
+        fleet, snapshot = supervised
+        looper = fleet.shards[0].replicas[1]
+        killed = set()
+
+        def kill_whenever_running():
+            pid = looper.server.pid
+            if pid not in killed and fleet.supervisor.state(looper.id) == "running":
+                os.kill(pid, signal.SIGKILL)
+                killed.add(pid)
+            return fleet.supervisor.is_parked(looper.id)
+
+        assert _pump_until(fleet, kill_whenever_running)
+        snapshot()
+        assert len(killed) == CHAOS_POLICY.max_restarts + 1
+        assert fleet.supervisor.restart_count(looper.id) == CHAOS_POLICY.max_restarts
+        assert _counter(fleet, "supervisor.parked") == 1
+
+        _, responses = self._submit(fleet, tiny_task, "parked")
+        assert all(r.source == "model" for r in responses)
+        assert fleet.ready() and fleet.health()["status"] == "degraded"
+        assert fleet.supervisor.is_parked(looper.id) and not looper.server.is_alive()
+
+    def test_corrupt_wire_frames_are_dropped_and_the_fleet_keeps_answering(
+            self, tiny_task, supervised):
+        fleet, _ = supervised
+        target = fleet.shards[1].replicas[1]
+        pid = target.server.pid
+        target.server.inject_corrupt_frame("crc")
+        target.server.inject_corrupt_frame("payload")
+
+        ids, responses = self._submit(fleet, tiny_task, "wire")
+        assert any(fleet.shards[1].ring.owner(rid) == target.id for rid in ids)
+        assert all(r.source == "model" for r in responses)
+        assert _pump_until(
+            fleet, lambda: target.server.health().get("corrupt_frames", 0) == 2)
+        assert target.server.pid == pid and target.server.is_alive()
+        assert fleet.supervisor.restart_count(target.id) == 0
