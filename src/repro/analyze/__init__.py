@@ -35,7 +35,6 @@ from .shapes import (
     SymTensor,
     SymbolicShapeError,
     check_forecast_model,
-    check_micro_batch_shapes,
     check_served_model,
     sym_window,
     symbolic_execution,
@@ -60,7 +59,6 @@ __all__ = [
     "check_engine_support",
     "checkpoint",
     "check_forecast_model",
-    "check_micro_batch_shapes",
     "check_served_model",
     "fingerprints",
     "lint_gradient_flow",

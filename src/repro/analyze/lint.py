@@ -6,7 +6,8 @@ Rules encode invariants the rest of the codebase relies on:
 RL001   error     global ``np.random.*`` call (must use seeded Generators)
 RL002   warning   ``default_rng()`` with no seed (nondeterministic)
 RL003   error     raw artifact write outside ``repro.ioutil`` atomics
-RL004   error     wall clock in injectable-clock-seam modules (serve/resilience)
+RL004   error     direct clock read (wall clock or ``time.perf_counter``) in
+                  injectable-clock-seam modules (serve/resilience)
 RL005   error     bare ``except:``
 RL006   warning   silent handler (``except ...: pass``)
 RL007   warning   ``Tensor.data``/``.grad`` mutation outside framework modules
@@ -55,6 +56,7 @@ CLOCK_SEAM_PREFIXES = ("serve/", "resilience/")
 _WALL_CLOCK_CALLS = {
     ("time", "time"),
     ("time", "monotonic"),
+    ("time", "perf_counter"),
     ("datetime", "now"),
     ("datetime", "utcnow"),
     ("date", "today"),
@@ -222,7 +224,7 @@ def _check_raw_artifact_write(ctx: FileContext) -> Iterator[tuple[int, str]]:
     "RL004",
     "wall-clock-in-clock-seam",
     "error",
-    "wall-clock call in a module with an injectable clock seam",
+    "direct clock read in a module with an injectable clock seam",
     "take a clock callable (default time.monotonic) as a parameter, as CircuitBreaker does",
 )
 def _check_wall_clock(ctx: FileContext) -> Iterator[tuple[int, str]]:
@@ -234,7 +236,7 @@ def _check_wall_clock(ctx: FileContext) -> Iterator[tuple[int, str]]:
         dotted = _dotted(node.func)
         parts = tuple(dotted.split(".")[-2:])
         if len(parts) == 2 and parts in _WALL_CLOCK_CALLS:
-            yield node.lineno, f"direct wall-clock call {dotted}() bypasses the injectable clock"
+            yield node.lineno, f"direct clock read {dotted}() bypasses the injectable clock"
 
 
 @rule(

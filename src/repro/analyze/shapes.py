@@ -990,61 +990,3 @@ def check_served_model(model, task, *, batch: int = 2, model_name: str | None = 
         batch=batch,
         model_name=model_name or type(model).__name__,
     )
-
-
-def check_micro_batch_shapes(
-    model, task, *, max_batch: int = 8, model_name: str | None = None
-) -> list[Finding]:
-    """Statically verify every merge size a ``MicroBatcher`` can emit.
-
-    The server's micro-batcher coalesces 1..``max_batch`` compatible
-    requests into one forward pass, and the execution engine caches one
-    plan per input signature — so a model whose forward bakes a concrete
-    batch size into a reshape or broadcast serves fine at the checked
-    batch and crashes (or worse, silently mis-shapes) on another bucket.
-
-    One symbolic execution per distinct merge size proves the batch dim
-    flexible at O(1) memory and no real arithmetic.  Findings that
-    reproduce identically at every size are batch-independent defects and
-    pass through under their own rule once; a finding confined to a
-    strict subset of sizes is re-reported as **SH008** (error) naming the
-    merge sizes it breaks — batch-dim inflexibility.
-    """
-    name = model_name or type(model).__name__
-    sizes = list(range(1, int(max_batch) + 1))
-    by_key: dict[tuple, tuple[Finding, list[int]]] = {}
-    for batch in sizes:
-        for finding in check_served_model(model, task, batch=batch, model_name=name):
-            # Structural identity only: messages embed the concrete batch
-            # size (shapes, element counts), so keying on the text would
-            # split one defect into per-size "findings" and misfile every
-            # batch-independent bug as SH008.
-            key = (finding.rule_id, finding.location)
-            if key in by_key:
-                by_key[key][1].append(batch)
-            else:
-                by_key[key] = (finding, [batch])
-    findings: list[Finding] = []
-    for finding, seen_at in by_key.values():
-        if len(seen_at) == len(sizes):
-            findings.append(finding)  # batch-independent: report as-is, once
-            continue
-        findings.append(
-            Finding(
-                rule_id="SH008",
-                severity="error",
-                location=finding.location,
-                anchor=finding.anchor,
-                message=(
-                    f"batch-dim inflexibility: fails only at merge sizes "
-                    f"{seen_at} of 1..{max_batch} — {finding.rule_id}: "
-                    f"{finding.message}"
-                ),
-                fix_hint=(
-                    "derive the batch dim from the input (x.shape[0] / "
-                    "reshape(-1, ...)) instead of hard-coding it; every "
-                    "micro-batch bucket must share one graph"
-                ),
-            )
-        )
-    return findings

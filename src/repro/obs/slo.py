@@ -123,9 +123,9 @@ class SLOMonitor:
     ``observe`` records one response against every objective;
     ``evaluate`` computes per-alert burn rates and, on any firing-state
     transition, emits an ``slo_burn`` record through ``logger`` (a
-    :class:`~repro.obs.RunLogger`) and bumps ``metrics`` counters.  The
-    clock is injectable and every method takes an explicit ``now``
-    override, so window-edge behavior is exactly testable.
+    :class:`~repro.obs.RunLogger`) and bumps ``metrics`` counters.  Every
+    method reads the injectable clock once, so tests set a fake clock to
+    an exact window edge.
     """
 
     def __init__(self, objectives=None, *, clock=time.monotonic,
@@ -150,10 +150,9 @@ class SLOMonitor:
 
     # -- recording ------------------------------------------------------- #
 
-    def observe(self, latency_ms: float, failure: bool = False,
-                now: float | None = None) -> None:
+    def observe(self, latency_ms: float, failure: bool = False) -> None:
         """Record one answered request against every objective."""
-        now = self._now(now)
+        now = self._clock()
         for objective in self.objectives:
             events = self._events[objective.name]
             events.append((now, objective.is_bad(latency_ms, failure)))
@@ -164,27 +163,17 @@ class SLOMonitor:
 
     # -- evaluation ------------------------------------------------------ #
 
-    def burn_rate(self, objective: SLObjective, window: float,
-                  now: float | None = None) -> float:
+    def burn_rate(self, objective: SLObjective, window: float) -> float:
         """Error-budget burn over the trailing ``window`` seconds.
 
         Events strictly inside ``(now - window, now]`` count; an empty
         window burns nothing.
         """
-        now = self._now(now)
-        edge = now - window
-        total = bad = 0
-        for ts, is_bad in self._events[objective.name]:
-            if ts > edge:
-                total += 1
-                bad += int(is_bad)
-        if total == 0:
-            return 0.0
-        return (bad / total) / objective.budget
+        return self._burn_rate(objective, window, self._clock())
 
-    def evaluate(self, now: float | None = None) -> list[SLOStatus]:
+    def evaluate(self) -> list[SLOStatus]:
         """Burn-rate verdict per objective; emits transitions as they flip."""
-        now = self._now(now)
+        now = self._clock()
         statuses = []
         for objective in self.objectives:
             events = self._events[objective.name]
@@ -195,8 +184,8 @@ class SLOMonitor:
                 bad=sum(int(is_bad) for _, is_bad in events),
             )
             for alert in (objective.fast, objective.slow):
-                long_rate = self.burn_rate(objective, alert.long_window, now)
-                short_rate = self.burn_rate(objective, alert.short_window, now)
+                long_rate = self._burn_rate(objective, alert.long_window, now)
+                short_rate = self._burn_rate(objective, alert.short_window, now)
                 status.burn[alert.name] = {"long": long_rate, "short": short_rate}
                 firing = (
                     len(events) >= objective.min_events
@@ -209,11 +198,23 @@ class SLOMonitor:
             statuses.append(status)
         return statuses
 
-    def ok(self, now: float | None = None) -> bool:
+    def ok(self) -> bool:
         """True when no alert of any objective is firing."""
-        return all(status.ok for status in self.evaluate(now))
+        return all(status.ok for status in self.evaluate())
 
     # -- plumbing -------------------------------------------------------- #
+
+    def _burn_rate(self, objective: SLObjective, window: float,
+                   now: float) -> float:
+        edge = now - window
+        total = bad = 0
+        for ts, is_bad in self._events[objective.name]:
+            if ts > edge:
+                total += 1
+                bad += int(is_bad)
+        if total == 0:
+            return 0.0
+        return (bad / total) / objective.budget
 
     def _transition(self, objective: SLObjective, alert: BurnAlert,
                     firing: bool, long_rate: float, short_rate: float,
@@ -239,6 +240,3 @@ class SLOMonitor:
                 window_short=alert.short_window,
                 now=now,
             )
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now

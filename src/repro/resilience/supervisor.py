@@ -4,7 +4,7 @@ The process transport (:mod:`repro.serve.proc`) makes replica death a
 *normal* event — so something has to notice deaths, restart within a
 budget, and refuse to restart-storm a replica that is crash-looping.
 :class:`ReplicaSupervisor` is that something: a single-threaded state
-machine over duck-typed replica handles, driven by ``poll(now)`` from
+machine over duck-typed replica handles, driven by ``poll()`` from
 whoever already owns a loop (the fleet router calls it once per
 ``process_once`` round), on an **injectable clock** so every transition
 is unit-testable without real processes or real time.
@@ -141,7 +141,7 @@ class ReplicaSupervisor:
         """
         entry = _Entry(replica_id, handle, on_down, on_up)
         entry.state = RUNNING if handle.ready else STARTING
-        entry.state_since = self._now(None)
+        entry.state_since = self._clock()
         self._entries[replica_id] = entry
 
     # -- introspection ---------------------------------------------------- #
@@ -158,9 +158,9 @@ class ReplicaSupervisor:
     def restart_count(self, replica_id: str) -> int:
         return self._entries[replica_id].total_restarts
 
-    def unpark(self, replica_id: str, now: float | None = None) -> None:
+    def unpark(self, replica_id: str) -> None:
         """Operator override: forget the crash-loop history, restart."""
-        now = self._now(now)
+        now = self._clock()
         entry = self._entries[replica_id]
         if entry.state != PARKED:
             return
@@ -172,11 +172,11 @@ class ReplicaSupervisor:
 
     # -- the watchdog ------------------------------------------------------ #
 
-    def poll(self, now: float | None = None) -> None:
+    def poll(self) -> None:
         """One supervision round over every registered replica."""
         if self._shutdown:
             return
-        now = self._now(now)
+        now = self._clock()
         for entry in self._entries.values():
             if entry.state in (PARKED, STOPPED):
                 continue
@@ -327,9 +327,6 @@ class ReplicaSupervisor:
         return {"terminated": terminated, "killed": killed}
 
     # -- plumbing ---------------------------------------------------------- #
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:

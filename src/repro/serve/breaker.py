@@ -79,17 +79,17 @@ class CircuitBreaker:
 
     # -- queries -------------------------------------------------------- #
 
-    def allow(self, now: float | None = None) -> bool:
+    def allow(self) -> bool:
         """May the next request hit the model?  (May HALF_OPEN the breaker.)
 
         OPEN + cooldown elapsed transitions to HALF_OPEN and admits a
         probe; OPEN within cooldown (and HALF_OPEN with all probe slots
         taken) answers False — serve the fallback instead.
         """
-        now = self._now(now)
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
+            now = self._clock()
             if self.opened_at is not None and now - self.opened_at >= self.cooldown:
                 self._transition(HALF_OPEN, "cooldown elapsed; probing", now)
                 self._probes_in_flight = 1
@@ -103,15 +103,14 @@ class CircuitBreaker:
 
     # -- outcome reports ------------------------------------------------ #
 
-    def record_success(self, now: float | None = None) -> None:
-        now = self._now(now)
+    def record_success(self) -> None:
         if self.state == HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
-            self._transition(CLOSED, "probe succeeded", now)
+            self._transition(CLOSED, "probe succeeded", self._clock())
         self.consecutive_failures = 0
 
-    def record_failure(self, reason: str = "", now: float | None = None) -> None:
-        now = self._now(now)
+    def record_failure(self, reason: str = "") -> None:
+        now = self._clock()
         if self.state == HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
             self._trip(f"probe failed: {reason}" if reason else "probe failed", now)
@@ -124,9 +123,6 @@ class CircuitBreaker:
             self._trip(detail, now)
 
     # -- internals ------------------------------------------------------ #
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now
 
     def _trip(self, reason: str, now: float) -> None:
         self.opened_at = now

@@ -63,8 +63,8 @@ class NaNModel(_ModelWrapper):
 class SlowModel(_ModelWrapper):
     """Add ``delay`` seconds of wall time per forward pass.
 
-    ``sleep`` is injectable so tests can count invocations without
-    actually sleeping.
+    ``sleep`` is injectable: ``sleep=clock.advance`` makes each forward
+    cost ``delay`` seconds on a test's fake clock without sleeping.
     """
 
     def __init__(self, inner, delay: float = 0.5, sleep=time.sleep):

@@ -17,7 +17,8 @@ boundaries is minimized), each shard runs **R replicas** of a
 * **per-replica circuit breakers** — transport-level
   (:class:`~.breaker.CircuitBreaker`) on the router side, independent of
   each server's internal model-health breaker: a crashed or timing-out
-  replica stops receiving traffic until a half-open probe succeeds;
+  replica stops receiving traffic after 3 consecutive failures until a
+  half-open probe, 2 s later, succeeds;
 * **bounded retries with jittered backoff** — failed dispatches are
   rescheduled through the :class:`~repro.resilience.backoff.Backoff`
   seam (delays are absolute ``not_before`` times on the injected clock,
@@ -46,6 +47,8 @@ be answered in budget gets an explicit ``source="shed"`` response.
 The router is a synchronous core (:meth:`submit` / :meth:`process_once`)
 driven deterministically by tests on an injected clock; :meth:`start`
 merely pumps it from a worker thread, exactly like ``ForecastServer``.
+Every fleet response is stamped with that clock when it is built, so
+its ``latency_ms`` covers the replicas' forward passes.
 """
 
 from __future__ import annotations
@@ -241,10 +244,10 @@ class Replica:
             unwedge()
         self.paused = False
 
-    def submit(self, payload, now: float, parent_span=None) -> str:
+    def submit(self, payload, parent_span=None) -> str:
         if self.killed:
             raise ReplicaDownError(self.id)
-        return self.server.submit(payload, now, parent_span=parent_span)
+        return self.server.submit(payload, parent_span=parent_span)
 
 
 @dataclass
@@ -346,7 +349,7 @@ class ForecastFleet:
         :class:`~repro.graph.partition.NodePartition` or explicit node
         lists) overrides the layout; otherwise ``adjacency`` is
         partitioned graph-aware; otherwise nodes are split contiguously.
-    queue_depth / max_batch / server_kwargs:
+    queue_depth / max_batch:
         Forwarded to every replica's :class:`ForecastServer` (replica
         SLO monitors are disabled — the fleet monitor owns burn alerts).
     max_attempts / backoff:
@@ -366,9 +369,6 @@ class ForecastFleet:
     backpressure_limit:
         Max outstanding sub-requests per shard before admission sheds
         (default ``replicas_per_shard * queue_depth``).
-    breaker_factory:
-        ``breaker_factory(replica_id) -> CircuitBreaker`` for the
-        router-side transport breakers.
     slo / slo_ready_gate / metrics / logger / clock:
         As on :class:`ForecastServer`; the clock is shared with every
         replica server so absolute deadlines propagate unchanged.
@@ -406,13 +406,11 @@ class ForecastFleet:
         hedge_after: float | None = None,
         gather_margin: float = 0.0,
         backpressure_limit: int | None = None,
-        breaker_factory=None,
         metrics: MetricsRegistry | None = None,
         logger=None,
         clock=time.monotonic,
         slo: SLOMonitor | None | bool = None,
         slo_ready_gate: bool = False,
-        server_kwargs: dict | None = None,
         transport: str = "thread",
         restart_policy=None,
         proc_kwargs: dict | None = None,
@@ -441,9 +439,6 @@ class ForecastFleet:
         )
 
         self.partition = self._resolve_partition(partition, adjacency, num_shards)
-        if breaker_factory is None:
-            breaker_factory = lambda rid: CircuitBreaker(
-                failure_threshold=3, cooldown=2.0, clock=clock)
 
         self.shards: list[Shard] = []
         for shard_id, nodes in enumerate(self.partition.shards):
@@ -455,8 +450,7 @@ class ForecastFleet:
                 if transport == "process":
                     backend = self._make_proc_client(
                         replica_id, sub_task, shard_id, model_factory,
-                        queue_depth, max_batch, server_kwargs,
-                        proc_kwargs or {})
+                        queue_depth, max_batch, proc_kwargs or {})
                 else:
                     model = model_factory(sub_task, shard_id, replica_id)
                     backend = ForecastServer(
@@ -465,11 +459,12 @@ class ForecastFleet:
                         model_factory=lambda st=sub_task, sid=shard_id,
                             rid=replica_id: model_factory(st, sid, rid),
                         metrics=self.metrics, logger=logger, clock=clock,
-                        slo=False, **(server_kwargs or {}),
+                        slo=False,
                     )
+                breaker = CircuitBreaker(failure_threshold=3, cooldown=2.0,
+                                         clock=clock)
                 shard.replicas.append(
-                    Replica(replica_id, shard_id, backend,
-                            breaker_factory(replica_id)))
+                    Replica(replica_id, shard_id, backend, breaker))
             shard.ring = ConsistentHashRing([r.id for r in shard.replicas])
             self.shards.append(shard)
         if transport == "process":
@@ -524,7 +519,7 @@ class ForecastFleet:
         return resolved
 
     def _make_proc_client(self, replica_id, sub_task, shard_id, model_factory,
-                          queue_depth, max_batch, server_kwargs, proc_kwargs):
+                          queue_depth, max_batch, proc_kwargs):
         """Build the out-of-process backend for one replica.
 
         The server factory runs **in the forked child**: the model is
@@ -536,14 +531,13 @@ class ForecastFleet:
         """
         from .proc import ProcReplicaClient
 
-        def server_factory(st=sub_task, sid=shard_id, rid=replica_id,
-                           skw=dict(server_kwargs or {})):
+        def server_factory(st=sub_task, sid=shard_id, rid=replica_id):
             model = model_factory(st, sid, rid)
             return ForecastServer(
                 model, st, queue_depth=queue_depth, max_batch=max_batch,
                 model_factory=lambda: model_factory(st, sid, rid),
                 metrics=MetricsRegistry(run=f"replica-{rid}"),
-                logger=None, clock=time.monotonic, slo=False, **skw,
+                logger=None, clock=time.monotonic, slo=False,
             )
 
         allowed = {"heartbeat_interval", "ack_timeout", "slow_start_s"}
@@ -590,21 +584,21 @@ class ForecastFleet:
 
     # -- front door ------------------------------------------------------ #
 
-    def submit(self, payload, now: float | None = None) -> str:
+    def submit(self, payload) -> str:
         """Validate + admit one full-graph request; returns its id.
 
         Raises :class:`~.validation.InvalidRequestError` (bad payload),
         :class:`~.queueing.DeadlineExceededError` (dead on arrival), or
         :class:`FleetOverloadedError` (backpressure / draining).
         """
-        now = self._now(now)
+        now = self._clock()
         with self._lock:  # paired with the start/stop writes
             draining = self._draining
         if draining or self._stop_event.is_set():
             self.metrics.counter("fleet.rejected").inc()
             self._log("fleet_rejected", code="draining")
             raise FleetOverloadedError(0, 0, detail="fleet is draining")
-        arrived = time.perf_counter()
+        arrived = time.perf_counter()  # analyze: allow[RL004] span timebase
         try:
             request = validate_request(payload, self.spec, now=now)
             if request.expired(now):
@@ -671,41 +665,42 @@ class ForecastFleet:
 
     # -- the synchronous core -------------------------------------------- #
 
-    def process_once(self, now: float | None = None) -> list[FleetResponse]:
+    def process_once(self) -> list[FleetResponse]:
         """One router round: dispatch, pump replicas, integrate, resolve.
 
         Returns the fleet responses completed this round (also appended
         to the sink for :meth:`take_responses`).
         """
-        now = self._now(now)
         if self.supervisor is not None:
-            self.supervisor.poll(now)
+            self.supervisor.poll()
+        now = self._clock()
         with self._lock:
             self._dispatch_due(now)
-        self._pump_replicas(now)
+        self._pump_replicas()
         with self._lock:
             self._integrate(now)
             self._sweep(now)
             completed = self._resolve(now)
         if self.slo is not None and completed:
-            self.slo.evaluate(now)
+            self.slo.evaluate()
         return completed
 
-    def drain(self, now: float | None = None) -> list[FleetResponse]:
+    def drain(self) -> list[FleetResponse]:
         """Pump until every admitted request is answered or shed.
 
-        With an explicitly-injected ``now`` the clock cannot advance, so
-        the loop stops at the first round that makes no progress (work
-        scheduled strictly in the future stays pending).
+        Stops early at a round that answers nothing while the clock did
+        not move: on a stopped clock, work scheduled in the future (a
+        retry's ``not_before``) stays pending.
         """
         produced: list[FleetResponse] = []
         while True:
             with self._lock:
                 if not self._entries:
                     break
-            round_responses = self.process_once(now)
+            before = self._clock()
+            round_responses = self.process_once()
             produced.extend(round_responses)
-            if now is not None and not round_responses:
+            if not round_responses and self._clock() == before:
                 break
         return produced
 
@@ -746,7 +741,7 @@ class ForecastFleet:
         exclude = (sub.replica,) if hedge and sub.replica else ()
         chosen = None
         for candidate in self._candidates(entry, sub, exclude=exclude):
-            if candidate.breaker.allow(now):
+            if candidate.breaker.allow():
                 chosen = candidate
                 break
         if chosen is None:
@@ -772,7 +767,7 @@ class ForecastFleet:
         if sub_deadline is not None:
             payload["deadline"] = sub_deadline
         try:
-            chosen.submit(payload, now, parent_span=dispatch_span)
+            chosen.submit(payload, parent_span=dispatch_span)
         except InvalidRequestError as exc:
             # Deterministic rejection — no replica will accept it.
             finish_span(dispatch_span, status="error", code=exc.code)
@@ -782,7 +777,7 @@ class ForecastFleet:
                 ReplicaDownError) as exc:
             finish_span(dispatch_span, status="error",
                         code=type(exc).__name__)
-            chosen.breaker.record_failure(type(exc).__name__, now=now)
+            chosen.breaker.record_failure(type(exc).__name__)
             if isinstance(exc, ServiceOverloadedError):
                 self.metrics.counter("fleet.replica_overloads").inc()
             self._log("fleet_dispatch_failed", request_id=entry.request_id,
@@ -812,11 +807,13 @@ class ForecastFleet:
 
     # -- pump + integrate ------------------------------------------------ #
 
-    def _pump_replicas(self, now: float) -> None:
+    def _pump_replicas(self) -> None:
+        # Each replica reads the shared clock itself, so one pumped after
+        # a slow one sees the time that slow forward took.
         for rep in self.replicas:
             if rep.killed or rep.paused:
                 continue
-            rep.server.process_once(now)
+            rep.server.process_once()
 
     def _integrate(self, now: float) -> None:
         # Callers hold self._lock.
@@ -835,12 +832,12 @@ class ForecastFleet:
                 if resp.prediction is None:
                     # The replica shed it (deadline passed in its queue).
                     finish_span(span, status="shed")
-                    rep.breaker.record_failure("replica shed", now=now)
+                    rep.breaker.record_failure("replica shed")
                     self._cancel_sibling(sub, resp.request_id)
                     self._retry_or_fail(entry, sub, "replica shed", now)
                     continue
                 finish_span(span, status="ok", source=resp.source)
-                rep.breaker.record_success(now=now)
+                rep.breaker.record_success()
                 self._cancel_sibling(sub, resp.request_id)
                 if sub.hedge_id == resp.request_id and sub.status == "inflight":
                     self.metrics.counter("fleet.hedge_wins").inc()
@@ -879,7 +876,7 @@ class ForecastFleet:
                         finish_span(sub.spans.pop(leg, None), status="error",
                                     code=reason)
                         if rep is not None:
-                            rep.breaker.record_failure(reason, now=now)
+                            rep.breaker.record_failure(reason)
                     sub.hedge_id = sub.hedge_replica = None
                     self.metrics.counter("fleet.failovers").inc()
                     self._log("fleet_failover", request_id=entry.request_id,
@@ -935,14 +932,14 @@ class ForecastFleet:
         completed: list[FleetResponse] = []
         for fleet_id, entry in list(self._entries.items()):
             if all(not sub.open for sub in entry.subs.values()):
-                completed.append(self._gather(entry, now))
+                completed.append(self._gather(entry))
                 del self._entries[fleet_id]
             elif entry.deadline is not None and now >= entry.deadline:
-                completed.append(self._shed(entry, now))
+                completed.append(self._shed(entry))
                 del self._entries[fleet_id]
         return completed
 
-    def _gather(self, entry: _FleetEntry, now: float) -> FleetResponse:
+    def _gather(self, entry: _FleetEntry) -> FleetResponse:
         prediction = np.empty(
             (self.task.horizon, self.task.num_nodes, self.task.out_dim))
         sources: dict[int, str] = {}
@@ -968,18 +965,16 @@ class ForecastFleet:
             source=source,
             degraded=degraded,
             reason="; ".join(reasons) if reasons else None,
-            latency_ms=max(0.0, (now - entry.received_at) * 1000.0),
-            deadline_missed=entry.deadline is not None and now >= entry.deadline,
             shard_sources=sources,
             retries=entry.retries,
             hedged=entry.hedged,
             metadata=entry.metadata,
         )
-        self._finish_response(entry, response, now,
+        self._finish_response(entry, response,
                               status="ok" if not degraded else "degraded")
         return response
 
-    def _shed(self, entry: _FleetEntry, now: float) -> FleetResponse:
+    def _shed(self, entry: _FleetEntry) -> FleetResponse:
         for sub in entry.subs.values():
             for leg in (sub.sub_id, sub.hedge_id):
                 if leg is not None:
@@ -997,25 +992,27 @@ class ForecastFleet:
             source="shed",
             degraded=True,
             reason="deadline passed before every shard answered",
-            latency_ms=max(0.0, (now - entry.received_at) * 1000.0),
-            deadline_missed=True,
             shard_sources={sid: (sub.source or "unanswered")
                            for sid, sub in entry.subs.items()},
             retries=entry.retries,
             hedged=entry.hedged,
             metadata=entry.metadata,
         )
-        self._finish_response(entry, response, now, status="shed")
+        self._finish_response(entry, response, status="shed")
         return response
 
     def _finish_response(self, entry: _FleetEntry, response: FleetResponse,
-                         now: float, status: str) -> None:
+                         status: str) -> None:
+        # The completion stamp: the one source of this response's timing.
+        done = self._clock()
+        response.latency_ms = max(0.0, (done - entry.received_at) * 1000.0)
+        response.deadline_missed = entry.deadline is not None and done >= entry.deadline
         self.metrics.counter(f"fleet.{response.source}").inc()
         self.metrics.counter("fleet.answered" if response.source != "shed"
                              else "fleet.shed_answered").inc()
         self.metrics.histogram("fleet.latency_ms").observe(response.latency_ms)
         if self.slo is not None:
-            self.slo.observe(response.latency_ms, failure=response.degraded, now=now)
+            self.slo.observe(response.latency_ms, failure=response.degraded)
         finish_span(entry.root_span, status=status, source=response.source,
                     latency_ms=response.latency_ms, retries=response.retries)
         with self._responses_lock:
@@ -1042,29 +1039,43 @@ class ForecastFleet:
         self._worker = threading.Thread(target=loop, name="fleet-router", daemon=True)
         self._worker.start()
 
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+    def stop(self, drain: bool = True, timeout: float = 30.0) -> bool:
         """Stop the worker; with ``drain`` resolve everything in flight.
 
-        Process transport: after the drain, supervision is disabled
-        (restarts would re-create what we are tearing down) and every
-        replica child is closed gracefully — SHUTDOWN over the wire,
-        escalating SIGTERM → SIGKILL on a deadline, so no orphan
-        processes survive the fleet.
+        Returns ``True`` on a clean stop.  If the router worker is still
+        alive after ``join(timeout)`` — wedged in a replica, most likely
+        — it mirrors :meth:`ForecastServer.stop`: a ``drain_timeout``
+        record is logged, ``fleet.drain_timeouts`` is counted, the thread
+        handle is kept, the synchronous drain is skipped (it would block
+        on the same wedged replica) and the method returns ``False``.
+
+        Either way, supervision is then disabled (restarts would
+        re-create what we are tearing down) and every process replica is
+        closed gracefully — SHUTDOWN over the wire, escalating SIGTERM →
+        SIGKILL on a deadline, so no orphan processes survive the fleet.
         """
         with self._lock:
             self._draining = drain
         self._stop_event.set()
+        clean = True
         if self._worker is not None:
             self._worker.join(timeout)
-            self._worker = None
-        if drain:
+            if self._worker.is_alive():
+                clean = False
+                self.metrics.counter("fleet.drain_timeouts").inc()
+                self._log("drain_timeout", timeout_s=timeout, drain=drain,
+                          worker=self._worker.name)
+            else:
+                self._worker = None
+        if drain and clean:
             self.drain()
         if self.supervisor is not None:
             self.supervisor.disable()
         if self.transport == "process":
             for rep in self.replicas:
                 rep.server.close(drain=False)
-        self._log("fleet_stop", drained=drain)
+        self._log("fleet_stop", drained=drain and clean)
+        return clean
 
     def health(self) -> dict:
         """Aggregated liveness: one verdict over every shard and replica.
@@ -1075,8 +1086,7 @@ class ForecastFleet:
         burning), or ``"unavailable"`` (some shard has no available
         replica — full-graph answers now depend on the fallback).
         """
-        now = self._now(None)
-        statuses = self.slo.evaluate(now) if self.slo is not None else []
+        statuses = self.slo.evaluate() if self.slo is not None else []
         shard_reports = []
         degraded = any(not s.ok for s in statuses)
         unavailable = False
@@ -1132,15 +1142,14 @@ class ForecastFleet:
         if any(not shard.available_replicas for shard in self.shards):
             return False
         if self._slo_ready_gate and self.slo is not None:
-            statuses = self.slo.evaluate(self._now(None))
+            statuses = self.slo.evaluate()
             if any("fast_burn" in s.firing for s in statuses):
                 return False
         return True
 
     # -- rolling reload -------------------------------------------------- #
 
-    def rolling_reload(self, checkpoints, now: float | None = None,
-                       min_available: int = 1) -> list[dict]:
+    def rolling_reload(self, checkpoints, min_available: int = 1) -> list[dict]:
         """Warm-reload the fleet one replica at a time, never below N-1.
 
         ``checkpoints`` maps shard id to a checkpoint path (dict,
@@ -1160,7 +1169,6 @@ class ForecastFleet:
         is down — nothing to swap), plus the shard's available-replica
         count *during* the step so tests can assert the invariant held.
         """
-        now = self._now(now)
         if callable(checkpoints):
             resolve = checkpoints
         elif isinstance(checkpoints, dict):
@@ -1207,7 +1215,7 @@ class ForecastFleet:
                 # Drain what the replica already holds before swapping.
                 guard = 0
                 while len(rep.server.queue) and guard < 10_000:
-                    self.process_once(now)
+                    self.process_once()
                     guard += 1
                 version_before = rep.server.model_version
                 ok = rep.server.reload_checkpoint(path)
@@ -1232,9 +1240,6 @@ class ForecastFleet:
         return records
 
     # -- plumbing -------------------------------------------------------- #
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now
 
     def _log(self, event: str, **fields) -> None:
         if self.logger is not None:

@@ -685,8 +685,7 @@ class ProcReplicaClient:
         with self._lock:
             return self._model_version or "unknown"
 
-    def submit(self, payload, now: float | None = None, *,
-               parent_span=None) -> str:
+    def submit(self, payload, *, parent_span=None) -> str:
         """SUBMIT → ACK round trip; admission errors re-raise locally."""
         from .fleet import ReplicaDownError
 
@@ -713,7 +712,7 @@ class ProcReplicaClient:
             self._inflight.add(request_id)
             return request_id
 
-    def process_once(self, now: float | None = None) -> list[ForecastResponse]:
+    def process_once(self) -> list[ForecastResponse]:
         """Drain the socket; returns responses that arrived this round."""
         with self._lock:
             before = len(self._responses)

@@ -7,6 +7,13 @@ with an injected clock.  A single worker thread (:meth:`start` /
 :meth:`stop`) merely loops ``process_once`` for real deployments; no
 correctness lives in the thread.
 
+Time has one source, the server's clock, read three times per request:
+at admission, at dequeue, and once when the request's batch has its
+answer (after the model or the fallback).  That completion stamp alone
+yields the batch time ``batch_timeout`` judges and each response's
+``latency_ms``, ``deadline_missed``, latency histogram entry and SLO
+event, so a slow forward shows up in every one of them.
+
 Containment contract (docs/serving.md): a *valid, admitted* request is
 always answered — by the live model when its output passes
 :func:`~repro.resilience.degrade.validate_output`, by the
@@ -50,7 +57,8 @@ class ForecastResponse:
     ``source`` is ``"model"`` (healthy forecast), ``"historical_average"``
     (explicitly-marked fallback), or ``"shed"`` (deadline passed while
     queued; ``prediction`` is ``None``).  ``degraded`` is True for every
-    non-model answer; ``reason`` says why.
+    non-model answer; ``reason`` says why.  ``latency_ms`` runs from
+    admission to the moment the answer existed, forward pass included.
     """
 
     request_id: str
@@ -82,9 +90,9 @@ class ForecastServer:
         A :class:`~.breaker.CircuitBreaker`; built with defaults when
         omitted.  Its transitions are re-emitted to metrics + log.
     batch_timeout:
-        Seconds a single model batch may take before it counts as a
-        breaker *timeout* failure (the output, if valid, is still
-        served).  ``None`` disables.
+        Seconds (on ``clock``) a single model batch may take before it
+        counts as a breaker *timeout* failure (the output, if valid, is
+        still served).  ``None`` disables.
     model_factory:
         Zero-arg callable building a fresh, architecture-identical model
         for :meth:`reload_checkpoint` to load into (so a bad checkpoint
@@ -125,8 +133,6 @@ class ForecastServer:
         max_batch: int = 8,
         breaker: CircuitBreaker | None = None,
         batch_timeout: float | None = None,
-        bound_factor: float = 10.0,
-        drift_factor: float = 10.0,
         model_factory=None,
         metrics: MetricsRegistry | None = None,
         logger=None,
@@ -136,7 +142,7 @@ class ForecastServer:
         slo_ready_gate: bool = False,
     ):
         self.task = task
-        self.spec = RequestSpec.for_task(task, drift_factor=drift_factor)
+        self.spec = RequestSpec.for_task(task)
         self.queue = RequestQueue(max_depth=queue_depth)
         self.batcher = MicroBatcher(max_batch=max_batch)
         self.batch_timeout = batch_timeout
@@ -156,7 +162,7 @@ class ForecastServer:
         self._model_version = self._version_of(model)
         self._model_factory = model_factory or (lambda: copy.deepcopy(model))
         self._fallback = HistoricalAverage.for_task(task)
-        self._bound = output_bound(task, factor=bound_factor)
+        self._bound = output_bound(task)
 
         self._shape_check = shape_check
         errors = self._shape_errors(model)
@@ -191,8 +197,7 @@ class ForecastServer:
 
     # -- front door ----------------------------------------------------- #
 
-    def submit(self, payload, now: float | None = None, *,
-               parent_span=None) -> str:
+    def submit(self, payload, *, parent_span=None) -> str:
         """Validate + admit one request; returns its id.
 
         Raises :class:`~.validation.InvalidRequestError` (bad payload),
@@ -206,7 +211,7 @@ class ForecastServer:
         trace covers the whole router → replica causal path; without it
         the request span is its own root.
         """
-        now = self._now(now)
+        now = self._clock()
         if self._draining or self._stop_event.is_set():
             self.metrics.counter("serve.rejected").inc()
             self._log("request_rejected", code="draining")
@@ -216,7 +221,7 @@ class ForecastServer:
                                          detail="server is draining")
         # Span timebase is perf_counter (same as the op tracer), captured
         # before validation so the root span covers the whole front door.
-        arrived = time.perf_counter()
+        arrived = time.perf_counter()  # analyze: allow[RL004] span timebase
         try:
             request = validate_request(payload, self.spec, now=now)
         except Exception as exc:
@@ -269,13 +274,13 @@ class ForecastServer:
 
     # -- the synchronous core ------------------------------------------- #
 
-    def process_once(self, now: float | None = None) -> list[ForecastResponse]:
+    def process_once(self) -> list[ForecastResponse]:
         """Serve one round of micro-batches from the queue.
 
         Returns the responses produced this round (they are also
         appended to the internal sink for :meth:`take_responses`).
         """
-        now = self._now(now)
+        now = self._clock()
         admitted, shed = self.queue.next_batch(self.batcher.max_batch, now)
         # Dequeue happens here, possibly on the worker thread: resume the
         # captured queue_wait spans and close them at the handoff point.
@@ -285,17 +290,21 @@ class ForecastServer:
         produced: list[ForecastResponse] = []
         for dead in shed:
             produced.append(self._shed(dead, now, stage="dequeue"))
+        started = now
         for group in self.batcher.groups(admitted):
-            produced.extend(self._serve_batch(group, now))
+            # A batch's time runs from the dequeue (or the previous
+            # batch's answer) to its own answer.
+            answered, started = self._serve_batch(group, started)
+            produced.extend(answered)
         if self.slo is not None and produced:
-            self.slo.evaluate(now)
+            self.slo.evaluate()
         return produced
 
-    def drain(self, now: float | None = None) -> list[ForecastResponse]:
+    def drain(self) -> list[ForecastResponse]:
         """Synchronously serve until the queue is empty."""
         produced: list[ForecastResponse] = []
         while len(self.queue):
-            produced.extend(self.process_once(now))
+            produced.extend(self.process_once())
         return produced
 
     def take_responses(self) -> list[ForecastResponse]:
@@ -324,51 +333,51 @@ class ForecastServer:
 
     # -- batch serving -------------------------------------------------- #
 
-    def _serve_batch(self, batch: list[ForecastRequest], now: float) -> list[ForecastResponse]:
+    def _serve_batch(self, batch: list[ForecastRequest],
+                     started: float) -> tuple[list[ForecastResponse], float]:
+        """Answer one micro-batch; returns its responses and their stamp."""
         roots = [self._span_entry(r.request_id).get("root") for r in batch]
         assembly = self._stage_spans(roots, "batch_assembly", batch=len(batch))
         x, t = self.batcher.collate(batch)
         for sp in assembly:
             finish_span(sp)
-        if self.breaker.allow(now):
+        prediction, failure = None, "breaker open"
+        if self.breaker.allow():
             predict_spans = self._stage_spans(
                 roots, "predict", batch=len(batch), breaker=self.breaker.state)
             anchor = next((sp for sp in predict_spans if sp is not None), None)
             with use_span(anchor):
-                prediction, failure, elapsed = self._model_predict(x, t, len(batch))
+                prediction, failure = self._model_predict(x, t, len(batch))
             for sp in predict_spans:
-                finish_span(sp, status="ok" if failure is None else "error",
-                            elapsed_s=elapsed)
-            if self.batch_timeout is not None and elapsed > self.batch_timeout and failure is None:
+                finish_span(sp, status="ok" if failure is None else "error")
+            if failure is not None:
+                self.breaker.record_failure(failure)
+        source = "model"
+        if failure is not None:
+            source = "historical_average"
+            self._log("fallback_served", reason=failure, batch=len(batch),
+                      breaker_state=self.breaker.state)
+            fallback_spans = self._stage_spans(roots, "fallback", reason=failure)
+            prediction = self._fallback_predict(batch)
+            for sp in fallback_spans:
+                finish_span(sp)
+        done = self._clock()
+        if failure is None:
+            elapsed = done - started
+            if self.batch_timeout is not None and elapsed > self.batch_timeout:
                 # Output is usable but the model is too slow to meet
                 # deadlines — feed the breaker so persistent slowness
                 # flips traffic to the (fast) fallback.
                 self.breaker.record_failure(
-                    f"batch took {elapsed:.3f}s > timeout {self.batch_timeout:.3f}s", now=now
-                )
+                    f"batch took {elapsed:.3f}s > timeout {self.batch_timeout:.3f}s")
                 self.metrics.counter("serve.timeouts").inc()
-            elif failure is None:
-                self.breaker.record_success(now=now)
             else:
-                self.breaker.record_failure(failure, now=now)
-        else:
-            prediction, failure = None, "breaker open"
-
-        if failure is None and prediction is not None:
-            return [self._respond(r, prediction[i], "model", None, now)
-                    for i, r in enumerate(batch)]
-        self._log("fallback_served", reason=failure, batch=len(batch),
-                  breaker_state=self.breaker.state)
-        fallback_spans = self._stage_spans(roots, "fallback", reason=failure)
-        fallback = self._fallback_predict(batch)
-        for sp in fallback_spans:
-            finish_span(sp)
-        return [self._respond(r, fallback[i], "historical_average", failure, now)
-                for i, r in enumerate(batch)]
+                self.breaker.record_success()
+        return [self._respond(r, prediction[i], source, failure, done)
+                for i, r in enumerate(batch)], done
 
     def _model_predict(self, x: np.ndarray, t: np.ndarray, batch_size: int):
-        """(prediction | None, failure_reason | None, elapsed_seconds)."""
-        started = time.perf_counter()
+        """(prediction | None, failure_reason | None)."""
         try:
             with self._model_lock, no_grad():
                 model = self._model
@@ -377,13 +386,11 @@ class ForecastServer:
             prediction = self.task.inverse_targets(raw)
             reason = validate_output(prediction, bound=self._bound)
         except Exception as exc:  # containment boundary: no model error escapes
-            return None, f"inference raised {type(exc).__name__}: {exc}", \
-                time.perf_counter() - started
-        elapsed = time.perf_counter() - started
+            return None, f"inference raised {type(exc).__name__}: {exc}"
         if reason is not None:
-            return None, reason, elapsed
+            return None, reason
         self.metrics.histogram("serve.batch_size").observe(batch_size)
-        return prediction, None, elapsed
+        return prediction, None
 
     def _fallback_predict(self, batch: list[ForecastRequest]) -> np.ndarray:
         time_indices = np.stack([r.time_index for r in batch])
@@ -393,7 +400,7 @@ class ForecastServer:
         return self.task.inverse_targets(scaled)
 
     def _respond(self, request: ForecastRequest, prediction, source: str,
-                 reason: str | None, now: float) -> ForecastResponse:
+                 reason: str | None, done: float) -> ForecastResponse:
         degraded = source != "model"
         response = ForecastResponse(
             request_id=request.request_id,
@@ -401,15 +408,15 @@ class ForecastServer:
             source=source,
             degraded=degraded,
             reason=reason,
-            latency_ms=max(0.0, (now - request.received_at) * 1000.0),
-            deadline_missed=request.expired(now),
+            latency_ms=max(0.0, (done - request.received_at) * 1000.0),
+            deadline_missed=request.expired(done),
             model_version=self.model_version if source == "model" else None,
             metadata=request.metadata,
         )
         self.metrics.counter(f"serve.{'fallback' if degraded else 'model'}").inc()
         self.metrics.histogram("serve.latency_ms").observe(response.latency_ms)
         if self.slo is not None:
-            self.slo.observe(response.latency_ms, failure=degraded, now=now)
+            self.slo.observe(response.latency_ms, failure=degraded)
         entry = self._span_pop(request.request_id)
         finish_span(entry.get("queue"))  # defensive: normally closed at dequeue
         finish_span(entry.get("root"), status="ok" if not degraded else "degraded",
@@ -433,7 +440,7 @@ class ForecastServer:
             metadata=request.metadata,
         )
         if self.slo is not None:
-            self.slo.observe(response.latency_ms, failure=True, now=now)
+            self.slo.observe(response.latency_ms, failure=True)
         entry = self._span_pop(request.request_id)
         finish_span(entry.get("queue"), status="shed")
         finish_span(entry.get("root"), status="shed", stage=stage)
@@ -493,14 +500,14 @@ class ForecastServer:
     def health(self) -> dict:
         """Liveness probe: one JSON-ready snapshot of serving state."""
         snap = self.metrics.snapshot()
-        statuses = self.slo.evaluate(self._now(None)) if self.slo is not None else []
+        statuses = self.slo.evaluate() if self.slo is not None else []
         degraded = self.breaker.state != "closed" or any(not s.ok for s in statuses)
         return {
             "status": "degraded" if degraded else "ok",
             "breaker": self.breaker.state,
             "queue_depth": len(self.queue),
             "model_version": self.model_version,
-            "uptime_s": self._now(None) - self._started_at,
+            "uptime_s": self._clock() - self._started_at,
             "slo": [s.to_dict() for s in statuses],
             "counters": snap["counters"],
         }
@@ -516,7 +523,7 @@ class ForecastServer:
         if self._draining or self._stop_event.is_set():
             return False
         if self._slo_ready_gate and self.slo is not None:
-            statuses = self.slo.evaluate(self._now(None))
+            statuses = self.slo.evaluate()
             if any("fast_burn" in s.firing for s in statuses):
                 return False
         return True
@@ -628,9 +635,6 @@ class ForecastServer:
         return [start_span(name, parent=root, inherit=False, attrs=attrs)
                 if root is not None else None
                 for root in roots]
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now
 
     def _on_breaker_transition(self, transition) -> None:
         self.metrics.counter(f"serve.breaker_{transition.new}").inc()

@@ -112,13 +112,14 @@ def _as_float_array(value, name: str) -> np.ndarray:
         raise InvalidRequestError("dtype", f"{name} not castable to float64 ({exc})") from exc
 
 
-def validate_request(payload, spec: RequestSpec, now: float = 0.0) -> ForecastRequest:
+def validate_request(payload, spec: RequestSpec, now: float) -> ForecastRequest:
     """Check ``payload`` against ``spec``; return an admitted request.
 
     ``payload`` is a mapping with required keys ``window`` and
     ``time_index`` plus optional ``id``, ``deadline``, ``metadata``.
-    Raises :class:`InvalidRequestError` (never a bare numpy/attribute
-    error) on any violation.
+    ``now`` is the admission instant on the caller's clock; it becomes
+    the request's ``received_at``.  Raises :class:`InvalidRequestError`
+    (never a bare numpy/attribute error) on any violation.
     """
     if not isinstance(payload, dict):
         raise InvalidRequestError(

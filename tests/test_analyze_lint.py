@@ -72,6 +72,19 @@ class TestClockRule:
         findings = lint_paths([tmp_path], rules=["RL004"])
         assert [f.location.split("/")[-1] for f in findings] == ["worker.py:2"]
 
+    def test_rl004_flags_perf_counter_unless_marked_span_timebase(self, tmp_path):
+        # A perf_counter pair around a forward bypasses the server's clock
+        # seam; the span-timebase arrival reads carry an allow note.
+        (tmp_path / "serve").mkdir()
+        (tmp_path / "serve" / "worker.py").write_text(
+            "import time\n"
+            "started = time.perf_counter()\n"
+            "arrived = time.perf_counter()  # analyze: allow[RL004] span timebase\n"
+        )
+        findings = lint_paths([tmp_path], rules=["RL004"])
+        assert [f.location.split("/")[-1] for f in findings] == ["worker.py:2"]
+        assert "perf_counter" in findings[0].message
+
 
 class TestWallClockLatencyRule:
     def test_rl009_flags_time_time_outside_clock_seams(self, tmp_path):

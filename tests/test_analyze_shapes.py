@@ -163,71 +163,6 @@ class TestCleanCatalog:
         assert check_served_model(model, tiny_task) == []
 
 
-class TestMicroBatchShapes:
-    """Regression for the serve/engine follow-up: every merge size the
-    ``MicroBatcher`` can emit must verify statically, because the
-    execution engine caches one plan per input signature — a model that
-    bakes a concrete batch size serves one bucket and breaks the rest."""
-
-    def test_clean_model_verifies_at_every_merge_size(self, tiny_task):
-        from repro.analyze import check_micro_batch_shapes
-        from repro.training import default_tgcrn_kwargs
-
-        model = TGCRN(**default_tgcrn_kwargs(
-            tiny_task, hidden_dim=4, node_dim=3, time_dim=3, num_layers=1),
-            rng=np.random.default_rng(3))
-        assert check_micro_batch_shapes(model, tiny_task, max_batch=4) == []
-
-    def test_batch_baked_reshape_is_sh008_with_failing_sizes(self, tiny_task, rng):
-        from repro.analyze import check_micro_batch_shapes
-        from repro.autodiff import stack
-
-        task = tiny_task
-
-        class BatchBaked(Module):
-            """Round-trips through a reshape with the batch dim baked to 2."""
-
-            def __init__(self):
-                super().__init__()
-                self.proj = Linear(task.in_dim, task.out_dim, rng=rng)
-
-            def forward(self, x, t):
-                frame = self.proj(x[:, -1])  # (B, N, out_dim)
-                flat = frame.reshape(2 * task.num_nodes, task.out_dim)
-                frame = flat.reshape(2, task.num_nodes, task.out_dim)
-                return stack([frame] * task.horizon, axis=1)
-
-        findings = check_micro_batch_shapes(BatchBaked(), task, max_batch=4)
-        sh008 = [f for f in findings if f.rule_id == "SH008"]
-        assert sh008, [str(f.to_dict()) for f in findings]
-        assert all(f.severity == "error" for f in sh008)
-        # The finding names exactly the merge sizes that break (everything
-        # except the baked-in batch of 2).
-        assert any("[1, 3, 4]" in f.message for f in sh008), \
-            [f.message for f in sh008]
-
-    def test_batch_independent_bug_not_misfiled_as_sh008(self, tiny_task, rng):
-        from repro.analyze import check_micro_batch_shapes
-        from repro.autodiff import stack
-
-        task = tiny_task
-
-        class WrongWidth(Module):
-            """Broken the same way at every batch size (SH006 territory)."""
-
-            def __init__(self):
-                super().__init__()
-                self.proj = Linear(task.in_dim, task.out_dim + 1, rng=rng)
-
-            def forward(self, x, t):
-                return stack([self.proj(x[:, -1])] * task.horizon, axis=1)
-
-        findings = check_micro_batch_shapes(WrongWidth(), task, max_batch=4)
-        assert findings, "expected the contract violation to surface"
-        assert "SH008" not in _rule_ids(findings), \
-            [str(f.to_dict()) for f in findings]
-
-
 class TestEngineSupportLint:
     """EN001: a registry model that can't capture/replay is a warning —
     the trainer silently loses ``--compile`` for it."""

@@ -1,8 +1,8 @@
 """SLO burn-rate alerting: window edges, fast/slow burn, recovery, wiring.
 
-Everything runs on an injected clock with explicit ``now`` overrides, so
-the multi-window conjunction (long window = evidence, short window =
-still happening) is exercised at exact boundaries.
+Everything runs on an injected fake clock set to exact instants, so the
+multi-window conjunction (long window = evidence, short window = still
+happening) is exercised at exact boundaries.
 """
 
 import pytest
@@ -14,6 +14,14 @@ from repro.obs.slo import (
     SLOMonitor,
     default_serving_objectives,
 )
+
+
+class FakeClock:
+    def __init__(self, t=0.0):
+        self.t = t
+
+    def __call__(self):
+        return self.t
 
 
 class RecordingLogger:
@@ -69,73 +77,85 @@ class TestObjective:
 class TestBurnRateWindows:
     def test_event_exactly_on_the_window_edge_is_excluded(self):
         obj = _objective()
-        monitor = SLOMonitor([obj])
-        monitor.observe(0.0, failure=True, now=100.0)
+        clock = FakeClock(100.0)
+        monitor = SLOMonitor([obj], clock=clock)
+        monitor.observe(0.0, failure=True)
         # Window (now-10, now]: an event at exactly now-10 does not count.
-        assert monitor.burn_rate(obj, window=10.0, now=110.0) == 0.0
+        clock.t = 110.0
+        assert monitor.burn_rate(obj, window=10.0) == 0.0
         # One tick inside the edge it does: 100% bad / 0.1 budget = 10.
-        assert monitor.burn_rate(obj, window=10.0, now=109.9) \
-            == pytest.approx(10.0)
+        clock.t = 109.9
+        assert monitor.burn_rate(obj, window=10.0) == pytest.approx(10.0)
 
     def test_empty_window_burns_nothing(self):
         obj = _objective()
-        monitor = SLOMonitor([obj])
-        assert monitor.burn_rate(obj, window=10.0, now=0.0) == 0.0
+        monitor = SLOMonitor([obj], clock=FakeClock())
+        assert monitor.burn_rate(obj, window=10.0) == 0.0
 
     def test_burn_is_error_ratio_over_budget(self):
         obj = _objective()  # budget 0.1
-        monitor = SLOMonitor([obj])
+        clock = FakeClock()
+        monitor = SLOMonitor([obj], clock=clock)
         for i in range(10):
-            monitor.observe(0.0, failure=(i < 3), now=float(i))
+            clock.t = float(i)
+            monitor.observe(0.0, failure=(i < 3))
         # 3/10 bad over a window covering everything: 0.3 / 0.1 = 3.
-        assert monitor.burn_rate(obj, window=50.0, now=9.0) \
-            == pytest.approx(3.0)
+        assert monitor.burn_rate(obj, window=50.0) == pytest.approx(3.0)
 
     def test_events_past_the_longest_window_are_pruned(self):
         obj = _objective()
-        monitor = SLOMonitor([obj])
-        monitor.observe(0.0, failure=True, now=0.0)
-        monitor.observe(0.0, failure=False, now=2000.0)  # prunes ts=0
+        clock = FakeClock()
+        monitor = SLOMonitor([obj], clock=clock)
+        monitor.observe(0.0, failure=True)
+        clock.t = 2000.0
+        monitor.observe(0.0, failure=False)  # prunes ts=0
         assert len(monitor._events["avail"]) == 1
 
 
 class TestAlerting:
     def test_fast_burn_needs_both_windows_hot(self):
         obj = _objective()
-        monitor = SLOMonitor([obj])
+        clock = FakeClock()
+        monitor = SLOMonitor([obj], clock=clock)
         # Cliff: 5 failures just now — long and short window both at
         # burn 10 ≥ 5 → fast_burn fires (slow_burn too: 10 ≥ 2).
         for i in range(5):
-            monitor.observe(0.0, failure=True, now=100.0 + i)
-        (status,) = monitor.evaluate(now=104.0)
+            clock.t = 100.0 + i
+            monitor.observe(0.0, failure=True)
+        (status,) = monitor.evaluate()
         assert "fast_burn" in status.firing
-        assert not status.ok and not monitor.ok(now=104.0)
+        assert not status.ok and not monitor.ok()
 
     def test_old_failures_alone_do_not_page(self):
         obj = _objective()
-        monitor = SLOMonitor([obj])
+        clock = FakeClock()
+        monitor = SLOMonitor([obj], clock=clock)
         # Same 5 failures, but the short window (10 s) has since drained:
         # evidence without "still happening" must not fire fast burn.
         for i in range(5):
-            monitor.observe(0.0, failure=True, now=float(i))
-        (status,) = monitor.evaluate(now=50.0)
+            clock.t = float(i)
+            monitor.observe(0.0, failure=True)
+        clock.t = 50.0
+        (status,) = monitor.evaluate()
         assert "fast_burn" not in status.firing
         # The slow alert's short window (100 s) still sees them.
         assert "slow_burn" in status.firing
 
     def test_min_events_guards_an_idle_service(self):
         obj = _objective(min_events=4)
-        monitor = SLOMonitor([obj])
-        monitor.observe(0.0, failure=True, now=100.0)  # 1 event, burn 10
-        (status,) = monitor.evaluate(now=100.0)
+        monitor = SLOMonitor([obj], clock=FakeClock(100.0))
+        monitor.observe(0.0, failure=True)  # 1 event, burn 10
+        (status,) = monitor.evaluate()
         assert status.firing == [] and status.events == 1
 
     def test_latency_objective_counts_slow_answers_as_bad(self):
         obj = _objective(name="lat", latency_ms=250.0)
-        monitor = SLOMonitor([obj])
+        clock = FakeClock()
+        monitor = SLOMonitor([obj], clock=clock)
         for i in range(5):
-            monitor.observe(1000.0, failure=False, now=100.0 + i)
-        (status,) = monitor.evaluate(now=104.0)
+            clock.t = 100.0 + i
+            monitor.observe(1000.0, failure=False)
+        (status,) = monitor.evaluate()
         assert status.bad == 5 and "fast_burn" in status.firing
 
 
@@ -143,15 +163,21 @@ class TestTransitions:
     def test_firing_then_recovery_emits_one_record_each(self):
         logger = RecordingLogger()
         metrics = MetricsRegistry()
-        monitor = SLOMonitor([_objective()], logger=logger, metrics=metrics)
+        clock = FakeClock()
+        monitor = SLOMonitor([_objective()], clock=clock, logger=logger,
+                             metrics=metrics)
         for i in range(5):
-            monitor.observe(0.0, failure=True, now=100.0 + i)
-        monitor.evaluate(now=104.0)   # -> firing
-        monitor.evaluate(now=104.5)   # still firing: no duplicate record
+            clock.t = 100.0 + i
+            monitor.observe(0.0, failure=True)
+        monitor.evaluate()            # t=104 -> firing
+        clock.t = 104.5
+        monitor.evaluate()            # still firing: no duplicate record
         # Good traffic dilutes, then the short window drains the failures.
         for i in range(40):
-            monitor.observe(0.0, failure=False, now=120.0 + i)
-        monitor.evaluate(now=160.0)   # -> recovered
+            clock.t = 120.0 + i
+            monitor.observe(0.0, failure=False)
+        clock.t = 160.0
+        monitor.evaluate()            # -> recovered
 
         # One slo_burn record per transition, none for the steady state.
         burn = [r for r in logger.records if r["event"] == "slo_burn"]
@@ -164,8 +190,8 @@ class TestTransitions:
         assert fired.value == 1 and recovered.value == 1
 
     def test_status_to_dict_is_json_ready(self):
-        monitor = SLOMonitor([_objective()])
-        (status,) = monitor.evaluate(now=0.0)
+        monitor = SLOMonitor([_objective()], clock=FakeClock())
+        (status,) = monitor.evaluate()
         payload = status.to_dict()
         assert payload["objective"] == "avail" and payload["ok"] is True
         assert set(payload["burn"]) == {"fast_burn", "slow_burn"}
@@ -179,13 +205,7 @@ class TestServerWiring:
         from repro.training import default_tgcrn_kwargs
         from repro.verify import named_rng
 
-        class FakeClock:
-            t = 1000.0
-
-            def __call__(self):
-                return self.t
-
-        clock = FakeClock()
+        clock = FakeClock(1000.0)
         model = TGCRN(
             **default_tgcrn_kwargs(
                 tiny_task, hidden_dim=4, node_dim=3, time_dim=3, num_layers=1),
@@ -208,7 +228,7 @@ class TestServerWiring:
 
         # A failure cliff through the monitor the server actually owns.
         for _ in range(10):
-            server.slo.observe(0.0, failure=True, now=clock.t)
+            server.slo.observe(0.0, failure=True)
             clock.t += 1.0
         health = server.health()
         assert health["status"] == "degraded"

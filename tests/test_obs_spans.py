@@ -9,6 +9,7 @@ tree per request, which ``obs-report --fail-on incomplete`` accepts.
 """
 
 import json
+import statistics
 import threading
 
 import pytest
@@ -26,7 +27,7 @@ from repro.obs import (
     use_span,
 )
 from repro.obs.report import assemble_traces, check_request_traces
-from repro.serve import CircuitBreaker, ForecastServer
+from repro.serve import CircuitBreaker, ForecastServer, SlowModel
 from repro.training import default_tgcrn_kwargs
 from repro.verify import named_rng
 
@@ -238,6 +239,33 @@ class TestServerSpans:
         report = json.loads(report_path.read_text())["spans"]
         assert report["check"]["complete"] == 8 and report["check"]["ok"]
         assert {"queue_wait", "predict"} <= set(report["stages"])
+
+    def test_latency_matches_the_root_request_span(self, tiny_task):
+        # Real clock, 20 ms forwards, one request per batch: the reported
+        # latency, the latency histogram and the root span all time the
+        # same interval, admission to answer.
+        model = TGCRN(
+            **default_tgcrn_kwargs(
+                tiny_task, hidden_dim=4, node_dim=3, time_dim=3, num_layers=1),
+            rng=named_rng(3, "span-latency"),
+        )
+        server = ForecastServer(SlowModel(model, delay=0.02), tiny_task, max_batch=1)
+        with collect_spans() as collector:
+            for i in range(5):
+                server.submit({"window": tiny_task.test.inputs[i],
+                               "time_index": tiny_task.test.time_indices[i],
+                               "id": f"req-{i}"})
+            responses = server.drain()
+        roots = {r["trace_id"]: r for r in _records(collector, "request")}
+        assert sorted(roots) == sorted(r.request_id for r in responses)
+        for response in responses:
+            root = roots[response.request_id]
+            assert response.latency_ms >= 20.0
+            assert abs(response.latency_ms - root["duration_ms"]) <= 1.0
+            assert root["attrs"]["latency_ms"] == response.latency_ms
+        p50 = server.metrics.histogram("serve.latency_ms").quantile(0.5)
+        span_median = statistics.median(r["duration_ms"] for r in roots.values())
+        assert abs(p50 - span_median) <= 1.0
 
     def test_rejected_submission_still_closes_its_tree(
             self, tiny_task, threaded_server):

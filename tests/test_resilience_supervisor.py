@@ -93,22 +93,22 @@ class TestLifecycle:
 
     def test_starting_becomes_running_when_ready(self):
         ups = []
-        sup, clock = _supervisor()
+        sup, _ = _supervisor()
         handle = FakeHandle(ready=False)
         sup.register("r0", handle, on_up=ups.append)
-        sup.poll(clock())
+        sup.poll()
         assert sup.state("r0") == STARTING
         handle.ready = True
-        sup.poll(clock())
+        sup.poll()
         assert sup.state("r0") == RUNNING
         assert ups == ["r0"]
 
     def test_poll_pumps_handle_transport_every_round(self):
-        sup, clock = _supervisor()
+        sup, _ = _supervisor()
         handle = FakeHandle()
         sup.register("r0", handle)
         for _ in range(3):
-            sup.poll(clock())
+            sup.poll()
         assert handle.pumps == 3
 
     def test_ready_deadline_kills_and_reschedules(self):
@@ -117,7 +117,7 @@ class TestLifecycle:
         handle = FakeHandle(ready=False)
         sup.register("r0", handle)
         clock.advance(1.5)  # past ready_deadline_s=1.0
-        sup.poll(clock())
+        sup.poll()
         assert handle.calls == ["kill"]
         assert sup.state("r0") == BACKOFF
         events = [e["event"] for e in logger.events]
@@ -130,15 +130,15 @@ class TestLifecycle:
         handle = FakeHandle()
         sup.register("r0", handle, on_down=lambda rid, why: downs.append((rid, why)))
         handle.alive = False
-        sup.poll(clock())
+        sup.poll()
         assert sup.state("r0") == BACKOFF
         assert downs == [("r0", "process exited")]
         # first restart: attempt 0 -> base delay 0.1, not a tick earlier
         clock.advance(0.05)
-        sup.poll(clock())
+        sup.poll()
         assert sup.state("r0") == BACKOFF and "respawn" not in handle.calls
         clock.advance(0.1)
-        sup.poll(clock())
+        sup.poll()
         assert handle.calls[-1] == "respawn"
         assert sup.state("r0") == STARTING
         assert sup.restart_count("r0") == 1
@@ -152,14 +152,14 @@ class TestLifecycle:
         for _ in range(2):
             handle.alive = False
             handle.ready = False
-            sup.poll(clock())
+            sup.poll()
             sched = [e for e in logger.events
                      if e["event"] == "replica_restart_scheduled"][-1]
             delays.append(sched["delay_s"])
             clock.advance(sched["delay_s"] + 0.01)
-            sup.poll(clock())          # respawn
+            sup.poll()          # respawn
             handle.ready = True
-            sup.poll(clock())          # back to running
+            sup.poll()          # back to running
         assert delays == [pytest.approx(0.1), pytest.approx(0.2)]
 
     def test_stale_heartbeat_terms_then_kill_escalates(self):
@@ -170,11 +170,11 @@ class TestLifecycle:
         sup.register("r0", handle)
         handle.last_heartbeat = clock()
         clock.advance(0.6)  # past heartbeat_timeout_s=0.5
-        sup.poll(clock())
+        sup.poll()
         assert sup.state("r0") == TERMINATING
         assert handle.calls == ["term"] and handle.alive
         clock.advance(0.4)  # past term_deadline_s=0.3
-        sup.poll(clock())
+        sup.poll()
         assert handle.calls == ["term", "kill"]
         assert sup.state("r0") == BACKOFF
         events = [e["event"] for e in logger.events]
@@ -187,8 +187,8 @@ class TestLifecycle:
         sup.register("r0", handle)
         handle.last_heartbeat = clock()
         clock.advance(0.6)
-        sup.poll(clock())  # TERM; FakeHandle honors it
-        sup.poll(clock())
+        sup.poll()  # TERM; FakeHandle honors it
+        sup.poll()
         assert handle.calls == ["term"]
         assert sup.state("r0") == BACKOFF
 
@@ -202,13 +202,13 @@ class TestCrashLoopParking:
         for _ in range(3):  # third down in the window crosses the budget
             handle.alive = False
             handle.ready = False
-            sup.poll(clock())
+            sup.poll()
             if sup.state("r0") == PARKED:
                 break
             clock.advance(1.0)
-            sup.poll(clock())  # respawn
+            sup.poll()  # respawn
             handle.ready = True
-            sup.poll(clock())
+            sup.poll()
         assert sup.is_parked("r0")
         parked = [e for e in logger.events if e["event"] == "replica_parked"]
         assert len(parked) == 1
@@ -216,7 +216,7 @@ class TestCrashLoopParking:
         # parked replicas are inert: polling never respawns them
         respawns = handle.calls.count("respawn")
         clock.advance(100.0)
-        sup.poll(clock())
+        sup.poll()
         assert handle.calls.count("respawn") == respawns
 
     def test_slow_crashes_outside_the_window_never_park(self):
@@ -226,12 +226,12 @@ class TestCrashLoopParking:
         for _ in range(5):
             handle.alive = False
             handle.ready = False
-            sup.poll(clock())
+            sup.poll()
             assert sup.state("r0") == BACKOFF
             clock.advance(11.0)  # next death lands in a fresh window
-            sup.poll(clock())
+            sup.poll()
             handle.ready = True
-            sup.poll(clock())
+            sup.poll()
             assert sup.state("r0") == RUNNING
 
     def test_unpark_clears_history_and_restarts(self):
@@ -242,15 +242,15 @@ class TestCrashLoopParking:
         for _ in range(3):
             handle.alive = False
             handle.ready = False
-            sup.poll(clock())
+            sup.poll()
             clock.advance(1.0)
-            sup.poll(clock())
+            sup.poll()
             handle.ready = True
-            sup.poll(clock())
+            sup.poll()
         assert sup.is_parked("r0")
-        sup.unpark("r0", clock())
+        sup.unpark("r0")
         assert sup.state("r0") == BACKOFF
-        sup.poll(clock())  # not_before == now: restart immediately
+        sup.poll()  # not_before == now: restart immediately
         assert sup.state("r0") == STARTING
         assert any(e["event"] == "replica_unparked" for e in logger.events)
 
@@ -258,7 +258,7 @@ class TestCrashLoopParking:
 class TestShutdown:
     def test_shutdown_terms_then_kills_survivors(self):
         logger = RecordingLogger()
-        sup, clock = _supervisor(logger=logger)
+        sup, _ = _supervisor(logger=logger)
         polite = FakeHandle()
         stubborn = FakeHandle()
         stubborn.ignore_term = True
@@ -272,15 +272,15 @@ class TestShutdown:
         assert sup.states() == {"polite": STOPPED, "stubborn": STOPPED}
         assert sleeps, "the grace loop should actually wait"
         assert any(e["event"] == "supervisor_shutdown" for e in logger.events)
-        sup.poll(clock())  # a stopped supervisor is inert
+        sup.poll()  # a stopped supervisor is inert
         assert polite.calls == ["term"]
 
     def test_disable_stands_down_without_touching_children(self):
-        sup, clock = _supervisor()
+        sup, _ = _supervisor()
         handle = FakeHandle()
         sup.register("r0", handle)
         sup.disable()
         handle.alive = False
-        sup.poll(clock())
+        sup.poll()
         assert handle.calls == []  # no respawn, no kill: caller owns teardown
         assert sup.state("r0") == RUNNING  # state frozen where it stood

@@ -142,7 +142,7 @@ class TestNaNContainment:
 class TestSlowModelTimeout:
     def test_slow_batches_count_as_breaker_failures(self, tiny_task):
         clock = FakeClock()
-        slow = SlowModel(_model(tiny_task), delay=0.05)
+        slow = SlowModel(_model(tiny_task), delay=0.05, sleep=clock.advance)
         server = ForecastServer(
             slow, tiny_task, max_batch=2, batch_timeout=0.001,
             breaker=CircuitBreaker(failure_threshold=2, cooldown=5.0, clock=clock),
@@ -184,8 +184,8 @@ class TestKillMidReload:
 
         # Previously-live model keeps serving.
         server.submit({"window": tiny_task.test.inputs[0],
-                       "time_index": tiny_task.test.time_indices[0]}, now=0.0)
-        (response,) = server.drain(now=0.0)
+                       "time_index": tiny_task.test.time_indices[0]})
+        (response,) = server.drain()
         assert response.source == "model"
         assert response.model_version == version_before
 

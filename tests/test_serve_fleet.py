@@ -10,6 +10,7 @@ real signals and the supervisor's watchdog runs on real seconds.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -99,7 +100,7 @@ def _run(fleet, clock, want, step=0.05, rounds=200):
     """
     collected = []
     for _ in range(rounds):
-        fleet.process_once(clock())
+        fleet.process_once()
         collected.extend(fleet.take_responses())
         if len(collected) >= want:
             return collected
@@ -179,6 +180,19 @@ def _assert_no_orphans(pids):
 
 def _counter(fleet, name):
     return int(fleet.metrics.counter(name).value)
+
+
+def _call_within(fn, seconds):
+    """Run ``fn`` on a helper thread for at most ``seconds``.
+
+    Returns ``(finished, result)``, so a call that hangs fails its test
+    instead of hanging the suite.
+    """
+    result = []
+    helper = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    helper.start()
+    helper.join(seconds)
+    return not helper.is_alive(), (result[0] if result else None)
 
 
 @pytest.fixture
@@ -281,7 +295,7 @@ class TestConsistentHashRing:
 
 class TestServing:
     def test_healthy_requests_answered_entirely_by_models(self, tiny_task, fleet, clock):
-        ids = [fleet.submit(_payload(tiny_task, i), now=clock()) for i in range(5)]
+        ids = [fleet.submit(_payload(tiny_task, i)) for i in range(5)]
         responses = _run(fleet, clock, want=5)
         assert sorted(r.request_id for r in responses) == sorted(ids)
         for r in responses:
@@ -290,23 +304,38 @@ class TestServing:
         _assert_contained(tiny_task, responses)
         assert _counter(fleet, "fleet.model") == 5
 
-    def test_routing_follows_the_ring_owner(self, tiny_task, fleet, clock):
+    def test_routing_follows_the_ring_owner(self, tiny_task, fleet):
         rid = "pinned-request"
         owner = fleet.shards[0].ring.owner(rid)
         for rep in fleet.shards[0].replicas:  # park the shard so subs queue
             rep.pause()
-        fleet.submit(_payload(tiny_task, 0, rid=rid), now=clock())
-        fleet.process_once(clock())
+        fleet.submit(_payload(tiny_task, 0, rid=rid))
+        fleet.process_once()
         holder = fleet.replica(owner)
         assert len(holder.server.queue) == 1
         others = [r for r in fleet.shards[0].replicas if r.id != owner]
         assert all(len(r.server.queue) == 0 for r in others)
 
+    def test_latency_covers_every_shards_forward(self, tiny_task, clock):
+        # One replica per shard, each forward 250 ms of fake time.  The
+        # second replica is pumped after the first and reads the clock
+        # itself, so the gathered answer exists 500 ms after admission.
+        def factory(sub_task, shard_id, replica_id):
+            return SlowModel(_factory(sub_task, shard_id, replica_id),
+                             delay=0.25, sleep=clock.advance)
+
+        fleet = _make_fleet(tiny_task, clock, factory, replicas_per_shard=1)
+        fleet.submit(_payload(tiny_task, 0))
+        (response,) = fleet.drain()
+        assert response.source == "model"
+        assert response.latency_ms == pytest.approx(500.0)
+        assert fleet.metrics.histogram("fleet.latency_ms").last == pytest.approx(500.0)
+
     def test_invalid_and_doa_requests_rejected_at_admission(self, tiny_task, fleet, clock):
         with pytest.raises(InvalidRequestError):
-            fleet.submit({"window": "nope"}, now=clock())
+            fleet.submit({"window": "nope"})
         with pytest.raises(DeadlineExceededError):
-            fleet.submit(_payload(tiny_task, 0, deadline=clock() - 1.0), now=clock())
+            fleet.submit(_payload(tiny_task, 0, deadline=clock() - 1.0))
         assert _counter(fleet, "fleet.rejected") == 2
 
 
@@ -314,12 +343,12 @@ class TestFailover:
     def test_killed_replica_fails_over_to_model_answer(self, tiny_task, fleet, clock):
         victim = fleet.replicas[0]
         victim.pause()  # wedge first, so dispatches land and sit there
-        ids = [fleet.submit(_payload(tiny_task, i, rid=f"crash-{i}"), now=clock())
+        ids = [fleet.submit(_payload(tiny_task, i, rid=f"crash-{i}"))
                for i in range(6)]
         victim_owned = [rid for rid in ids
                         if fleet.shards[0].ring.owner(rid) == victim.id]
         assert victim_owned, "hash spread left the victim idle; widen the batch"
-        fleet.process_once(clock())  # dispatch: victim now holds its share
+        fleet.process_once()  # dispatch: victim now holds its share
         victim.kill()                # and dies holding it
         responses = _run(fleet, clock, want=6)
         assert len(responses) == 6
@@ -331,7 +360,7 @@ class TestFailover:
     def test_whole_shard_down_serves_marked_fallback_slice(self, tiny_task, fleet, clock):
         for rep in fleet.shards[0].replicas:
             rep.kill()
-        fleet.submit(_payload(tiny_task, 0), now=clock())
+        fleet.submit(_payload(tiny_task, 0))
         (response,) = _run(fleet, clock, want=1)
         assert response.source == "mixed" and response.degraded
         assert response.shard_sources == {0: "historical_average", 1: "model"}
@@ -344,7 +373,7 @@ class TestFailover:
                             backoff=Backoff(base=0.01, factor=2.0, jitter=0.0))
         for rep in fleet.shards[1].replicas:  # the whole shard wedges
             rep.pause()
-        fleet.submit(_payload(tiny_task, 0), now=clock())
+        fleet.submit(_payload(tiny_task, 0))
         (response,) = _run(fleet, clock, want=1, step=0.05)
         # attempts 1..max_attempts all time out; the first two reschedule
         # (retries), the last exhausts the budget into the marked fallback.
@@ -360,10 +389,10 @@ class TestFailover:
                                             max_delay=30.0, jitter=0.0))
         for rep in fleet.shards[0].replicas:
             rep.pause()
-        fleet.submit(_payload(tiny_task, 0), now=clock())
-        fleet.process_once(clock())          # dispatch
+        fleet.submit(_payload(tiny_task, 0))
+        fleet.process_once()          # dispatch
         clock.advance(0.2)
-        fleet.process_once(clock())          # timeout -> retry in 10s
+        fleet.process_once()          # timeout -> retry in 10s
         t_retry = clock()
         sub = next(iter(fleet._entries.values())).subs[0]
         assert sub.status == "pending"
@@ -372,13 +401,35 @@ class TestFailover:
         # cannot reach into a wedged process; only *new* dispatches count.
         queued_before = sum(len(r.server.queue) for r in fleet.shards[0].replicas)
         clock.advance(5.0)
-        fleet.process_once(clock())          # still inside the backoff window
+        fleet.process_once()          # still inside the backoff window
         assert sum(len(r.server.queue)
                    for r in fleet.shards[0].replicas) == queued_before
         clock.advance(6.0)
-        fleet.process_once(clock())          # due: redispatched
+        fleet.process_once()          # due: redispatched
         assert sum(len(r.server.queue)
                    for r in fleet.shards[0].replicas) == queued_before + 1
+
+    def test_drain_on_a_stopped_clock_leaves_future_retries_pending(self, tiny_task, clock):
+        fleet = _make_fleet(tiny_task, clock, replica_timeout=0.1,
+                            backoff=Backoff(base=10.0, factor=1.0,
+                                            max_delay=30.0, jitter=0.0))
+        for rep in fleet.shards[0].replicas:
+            rep.pause()
+        fleet.submit(_payload(tiny_task, 0))
+        fleet.process_once()          # dispatch
+        clock.advance(0.2)
+        fleet.process_once()          # timeout -> retry in 10s
+        finished, drained = _call_within(fleet.drain, 5.0)
+        assert finished, "drain spun on a clock that cannot move"
+        assert drained == []
+        (entry,) = fleet._entries.values()
+        assert entry.subs[0].status == "pending"
+        # Once the clock reaches the retry, drain answers it.
+        for rep in fleet.shards[0].replicas:
+            rep.resume()
+        clock.advance(10.0)
+        (response,) = fleet.drain()
+        assert response.source == "model" and response.retries == 1
 
 
 class TestHedging:
@@ -387,8 +438,8 @@ class TestHedging:
         rid = "hedge-me"
         for shard in fleet.shards:  # wedge every primary for this key
             fleet.replica(shard.ring.owner(rid)).pause()
-        fleet.submit(_payload(tiny_task, 0, rid=rid), now=clock())
-        fleet.process_once(clock())
+        fleet.submit(_payload(tiny_task, 0, rid=rid))
+        fleet.process_once()
         clock.advance(0.6)  # past hedge_after, far from replica_timeout
         responses = _run(fleet, clock, want=1)
         (response,) = responses
@@ -401,10 +452,10 @@ class TestHedging:
         fleet = _make_fleet(tiny_task, clock, hedge_after=5.0, replica_timeout=30.0)
         for rep in fleet.replicas:
             rep.pause()
-        fleet.submit(_payload(tiny_task, 0), now=clock())
-        fleet.process_once(clock())
+        fleet.submit(_payload(tiny_task, 0))
+        fleet.process_once()
         clock.advance(1.0)
-        fleet.process_once(clock())
+        fleet.process_once()
         assert _counter(fleet, "fleet.hedges") == 0
 
 
@@ -414,9 +465,9 @@ class TestBackpressureAndDeadlines:
         for rep in fleet.replicas:
             rep.pause()
         for i in range(2):
-            fleet.submit(_payload(tiny_task, i), now=clock())
+            fleet.submit(_payload(tiny_task, i))
         with pytest.raises(FleetOverloadedError) as excinfo:
-            fleet.submit(_payload(tiny_task, 9), now=clock())
+            fleet.submit(_payload(tiny_task, 9))
         assert excinfo.value.shard_id in (0, 1)
         assert "saturated" in str(excinfo.value)
         assert _counter(fleet, "fleet.shed_backpressure") == 1
@@ -426,8 +477,8 @@ class TestBackpressureAndDeadlines:
         for rep in fleet.replicas:
             rep.pause()
         deadline = clock() + 2.0
-        fleet.submit(_payload(tiny_task, 0, deadline=deadline), now=clock())
-        fleet.process_once(clock())
+        fleet.submit(_payload(tiny_task, 0, deadline=deadline))
+        fleet.process_once()
         queued = [req for rep in fleet.replicas
                   for req in rep.server.queue.clear()]
         assert len(queued) == 2  # one sub-request per shard
@@ -440,10 +491,10 @@ class TestBackpressureAndDeadlines:
         fleet = _make_fleet(tiny_task, clock, replica_timeout=30.0)
         for rep in fleet.replicas:
             rep.pause()
-        fleet.submit(_payload(tiny_task, 0, deadline=clock() + 1.0), now=clock())
-        fleet.process_once(clock())
+        fleet.submit(_payload(tiny_task, 0, deadline=clock() + 1.0))
+        fleet.process_once()
         clock.advance(1.5)
-        (response,) = fleet.process_once(clock())
+        (response,) = fleet.process_once()
         assert response.source == "shed" and response.prediction is None
         assert response.deadline_missed
         assert set(response.shard_sources.values()) == {"unanswered"}
@@ -468,7 +519,7 @@ class TestBackpressureAndDeadlines:
         t0 = clock()
         for i in range(n):
             fleet.submit(_payload(tiny_task, i, rid=f"brown-{i}",
-                                  deadline=t0 + deadline_s), now=clock())
+                                  deadline=t0 + deadline_s))
         responses = _run(fleet, clock, want=n)
         tail = clock() - t0
 
@@ -482,11 +533,36 @@ class TestBackpressureAndDeadlines:
         # the second of them: that batch is the margin.
         assert tail <= deadline_s + delay + delay, f"brownout tail {tail:.2f}s"
 
-    def test_draining_fleet_refuses_new_work(self, tiny_task, fleet, clock):
-        fleet.stop(drain=True)
+    def test_draining_fleet_refuses_new_work(self, tiny_task, fleet):
+        assert fleet.stop(drain=True) is True
         with pytest.raises(FleetOverloadedError, match="draining"):
-            fleet.submit(_payload(tiny_task, 0), now=clock())
+            fleet.submit(_payload(tiny_task, 0))
         assert not fleet.ready()
+
+    def test_stop_reports_a_wedged_router_instead_of_hanging(self, tiny_task, clock):
+        entered, release = threading.Event(), threading.Event()
+
+        def block(_delay):
+            entered.set()
+            release.wait(10.0)
+
+        def factory(sub_task, shard_id, replica_id):
+            return SlowModel(_factory(sub_task, shard_id, replica_id),
+                             delay=0.0, sleep=block)
+
+        fleet = _make_fleet(tiny_task, clock, factory, replicas_per_shard=1)
+        try:
+            fleet.start(poll_interval=0.005)
+            fleet.submit(_payload(tiny_task, 0))
+            assert entered.wait(5.0), "the router never reached a replica model"
+            finished, stopped = _call_within(lambda: fleet.stop(timeout=0.2), 2.0)
+            assert finished, "stop() hung on the wedged router"
+            assert stopped is False
+            assert _counter(fleet, "fleet.drain_timeouts") == 1
+        finally:
+            release.set()
+        # The wedge clears: a later stop() joins the worker cleanly.
+        assert fleet.stop(timeout=10.0) is True
 
 
 class TestHealthAndReadiness:
@@ -537,8 +613,7 @@ class TestChaosContainment:
             n = 8
             if transport == "thread":
                 for i in range(n):
-                    fleet.submit(_payload(tiny_task, i, deadline=clock() + 5.0),
-                                 now=clock())
+                    fleet.submit(_payload(tiny_task, i, deadline=clock() + 5.0))
                 responses = _run(fleet, clock, want=n, step=0.05)
             else:
                 for i in range(n):
@@ -562,29 +637,29 @@ class TestChaosContainment:
         clock = FakeClock(t=100.0)
         with collect_spans() as collector:
             fleet = _make_fleet(tiny_task, clock, replica_timeout=0.2)
-            fleet.submit(_payload(tiny_task, 0, rid="trace-ok"), now=clock())
+            fleet.submit(_payload(tiny_task, 0, rid="trace-ok"))
             _run(fleet, clock, want=1)
             victim = fleet.replicas[0]
             victim.pause()
-            fleet.submit(_payload(tiny_task, 1, rid="trace-crash"), now=clock())
-            fleet.process_once(clock())
+            fleet.submit(_payload(tiny_task, 1, rid="trace-crash"))
+            fleet.process_once()
             victim.kill()
             _run(fleet, clock, want=1)
             for rep in fleet.replicas:  # everything wedged -> shed path
                 if not rep.killed:
                     rep.pause()
             fleet.submit(_payload(tiny_task, 2, rid="trace-shed",
-                                  deadline=clock() + 0.5), now=clock())
-            fleet.process_once(clock())
+                                  deadline=clock() + 0.5))
+            fleet.process_once()
             clock.advance(1.0)
-            fleet.process_once(clock())
+            fleet.process_once()
             # Un-wedge so the servers close out the stale work they
             # still hold (late responses); otherwise their replica-side
             # span trees are honestly — but unhelpfully — unfinished.
             for rep in fleet.replicas:
                 rep.resume()
             for _ in range(5):
-                fleet.process_once(clock())
+                fleet.process_once()
                 clock.advance(0.1)
         assert _counter(fleet, "fleet.late_responses") >= 1
         trees = assemble_traces(collector.records)

@@ -100,8 +100,8 @@ class TestRollingReload:
             assert record["version_after"] == versions_before[record["replica"]]
         assert int(fleet.metrics.counter("fleet.reload_rejected").value) == 2
         # The shard with the bad candidate still answers from its (old) model.
-        fleet.submit(_payload(tiny_task, 0), now=clock())
-        (response,) = fleet.drain(clock())
+        fleet.submit(_payload(tiny_task, 0))
+        (response,) = fleet.drain()
         assert response.source == "model"
 
     def test_reload_refused_below_the_n1_floor(self, fleet, checkpoints):
@@ -130,13 +130,13 @@ class TestRollingReload:
 
     def test_reload_under_load_drains_first_and_answers_everything(
             self, tiny_task, fleet, clock, checkpoints):
-        ids = [fleet.submit(_payload(tiny_task, i), now=clock()) for i in range(6)]
+        ids = [fleet.submit(_payload(tiny_task, i)) for i in range(6)]
         # No pump yet: every sub-request is still queued when the rolling
         # reload starts, so each step must drain before swapping.
-        records = fleet.rolling_reload(checkpoints, now=clock())
+        records = fleet.rolling_reload(checkpoints)
         assert all(r["action"] == "reloaded" for r in records)
         assert all(r["available_during"] >= 1 for r in records)
-        responses = fleet.drain(clock())
+        responses = fleet.drain()
         assert sorted(r.request_id for r in responses) == sorted(ids)
         assert all(r.prediction is not None and np.all(np.isfinite(r.prediction))
                    for r in responses)

@@ -8,12 +8,13 @@ import pytest
 
 from repro.core import TGCRN
 from repro.nn import save_checkpoint
-from repro.obs import MetricsRegistry, RunLogger
+from repro.obs import MetricsRegistry, RunLogger, SLObjective, SLOMonitor
 from repro.resilience import corrupt_checkpoint
 from repro.serve import (
     CircuitBreaker,
     ForecastServer,
     ServiceOverloadedError,
+    SlowModel,
 )
 from repro.training import default_tgcrn_kwargs
 from repro.verify import named_rng
@@ -136,6 +137,22 @@ class TestServing:
         clock.advance(0.25)
         (response,) = server.process_once()
         assert response.latency_ms == pytest.approx(250.0)
+
+    def test_latency_includes_the_forward_pass(self, tiny_task, clock):
+        # The forward costs 250 ms of fake time, so the answer exists
+        # only after the request's 100 ms deadline has passed.
+        slo = SLOMonitor([SLObjective("latency", 0.9, latency_ms=200.0)], clock=clock)
+        server = ForecastServer(
+            SlowModel(_model(tiny_task), delay=0.25, sleep=clock.advance),
+            tiny_task, clock=clock, slo=slo)
+        server.submit(_payload(tiny_task, 0, deadline=clock() + 0.1))
+        (response,) = server.process_once()
+        assert response.source == "model"
+        assert response.latency_ms == pytest.approx(250.0)
+        assert response.deadline_missed
+        assert server.metrics.histogram("serve.latency_ms").last == pytest.approx(250.0)
+        (status,) = slo.evaluate()
+        assert status.events == 1 and status.bad == 1  # 250 ms > the 200 ms objective
 
 
 class TestLifecycle:

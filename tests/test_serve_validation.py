@@ -66,33 +66,33 @@ class TestValidateRequest:
 
     def test_non_mapping_payload(self, spec):
         with pytest.raises(InvalidRequestError) as err:
-            validate_request([1, 2, 3], spec)
+            validate_request([1, 2, 3], spec, now=0.0)
         assert err.value.code == "schema"
 
     def test_missing_field(self, spec):
         with pytest.raises(InvalidRequestError) as err:
-            validate_request({"window": np.zeros(spec.window_shape)}, spec)
+            validate_request({"window": np.zeros(spec.window_shape)}, spec, now=0.0)
         assert err.value.code == "schema"
 
     def test_unknown_field(self, spec):
         payload = _good_payload(spec)
         payload["surprise"] = 1
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "schema"
 
     def test_wrong_shape(self, spec):
         payload = _good_payload(spec)
         payload["window"] = payload["window"][:, :-1]
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "shape"
 
     def test_non_numeric_dtype(self, spec):
         payload = _good_payload(spec)
         payload["window"] = np.full(spec.window_shape, "text", dtype=object)
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "dtype"
 
     def test_non_finite_window(self, spec):
@@ -100,7 +100,7 @@ class TestValidateRequest:
         payload["window"] = payload["window"].copy()
         payload["window"].flat[3] = np.inf
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "non_finite"
 
     def test_scale_drift_rejected(self, spec):
@@ -108,7 +108,7 @@ class TestValidateRequest:
         payload["window"] = payload["window"].copy()
         payload["window"].flat[0] = spec.scale_limit * 50.0
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "scale_drift"
         assert "unscaled" in err.value.detail
 
@@ -116,28 +116,28 @@ class TestValidateRequest:
         payload = _good_payload(spec)
         payload["time_index"] = np.arange(spec.span + 1)
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "time_index"
 
     def test_time_index_not_increasing(self, spec):
         payload = _good_payload(spec)
         payload["time_index"] = np.arange(spec.span)[::-1].copy()
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "time_index"
 
     def test_time_index_fractional(self, spec):
         payload = _good_payload(spec)
         payload["time_index"] = np.arange(spec.span) + 0.5
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "time_index"
 
     def test_bad_deadline(self, spec):
         payload = _good_payload(spec)
         payload["deadline"] = "soon"
         with pytest.raises(InvalidRequestError) as err:
-            validate_request(payload, spec)
+            validate_request(payload, spec, now=0.0)
         assert err.value.code == "schema"
 
 
@@ -147,5 +147,5 @@ class TestMalformedCatalog:
         assert len(catalog) >= 6
         for code, payload in catalog:
             with pytest.raises(InvalidRequestError) as err:
-                validate_request(payload, spec)
+                validate_request(payload, spec, now=0.0)
             assert err.value.code == code, f"expected {code}, got {err.value.code}"
