@@ -1,9 +1,8 @@
-"""Static analysis layer: shape checking, gradient-flow lint, repo lint.
+"""Analysis layer: model probe, repo lint, concurrency checks.
 
 Every analyzer reports through one :class:`~repro.analyze.findings.Finding` model:
 
-* :mod:`repro.analyze.shapes` — abstract shape/dtype interpreter (SH rules)
-* :mod:`repro.analyze.gradflow` — gradient-flow linter (GF rules)
+* :mod:`repro.analyze.probe` — one real forward/backward per model (SH and GF rules)
 * :mod:`repro.analyze.lint` — repo-invariant AST lint (RL rules)
 * :mod:`repro.analyze.engine_support` — capture/replay compilability (EN rules)
 * :mod:`repro.analyze.concurrency` — cross-module lock-discipline lint (CC rules)
@@ -25,20 +24,10 @@ from .findings import (
     severity_rank,
 )
 from .engine_support import check_engine_support
-from .gradflow import lint_gradient_flow
 from .lint import LintRule, lint_paths, registered_rules, rule
 from .lockorder import LockOrderSanitizer, LockOrderViolation, checkpoint
+from .probe import ModelShapeError, check_forecast_model, check_served_model
 from .runner import AnalysisReport, analyze_models, run_analysis
-from .shapes import (
-    ModelShapeError,
-    SymDim,
-    SymTensor,
-    SymbolicShapeError,
-    check_forecast_model,
-    check_served_model,
-    sym_window,
-    symbolic_execution,
-)
 
 __all__ = [
     "AnalysisReport",
@@ -51,9 +40,6 @@ __all__ = [
     "LockOrderViolation",
     "ModelShapeError",
     "SEVERITIES",
-    "SymDim",
-    "SymTensor",
-    "SymbolicShapeError",
     "analyze_concurrency",
     "analyze_models",
     "check_engine_support",
@@ -61,7 +47,6 @@ __all__ = [
     "check_forecast_model",
     "check_served_model",
     "fingerprints",
-    "lint_gradient_flow",
     "lint_paths",
     "max_severity",
     "registered_rules",
@@ -70,6 +55,4 @@ __all__ = [
     "rule",
     "run_analysis",
     "severity_rank",
-    "sym_window",
-    "symbolic_execution",
 ]

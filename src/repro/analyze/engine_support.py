@@ -40,7 +40,7 @@ def check_engine_support(
     """Report signatures of ``model``'s training step the engine cannot compile.
 
     Runs capture plus one validation replay of ``forward -> mae_loss ->
-    backward`` on synthetic data (same dims the shape checker uses).  The
+    backward`` on synthetic data (same dims the model probe uses).  The
     model's parameters and training flag are left as found; gradients
     written by the probe are cleared.
     """

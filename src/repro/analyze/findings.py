@@ -1,6 +1,6 @@
 """Finding model, baseline/suppression file, and reporters for `repro.analyze`.
 
-Every analyzer (shape interpreter, gradient-flow linter, AST lint) emits
+Every analyzer (model probe, AST lint, concurrency rules) emits
 :class:`Finding` records through one schema so the CLI, the CI gate, and
 the baseline workflow treat them uniformly.
 

@@ -1,9 +1,10 @@
-"""Orchestrates the three analyzers over the repo and its model catalog.
+"""Orchestrates the analyzers over the repo and its model catalog.
 
-``run_analysis`` is what ``repro.cli analyze`` and CI call: AST lint over
-``src/repro``, then symbolic shape + gradient-flow + engine-support
-checks over TGCRN and every neural baseline in ``baselines/registry.py``,
-all merged into one finding list with per-rule ``repro.obs`` counters.
+``run_analysis`` is what ``repro.cli analyze`` and CI call: AST lint and
+concurrency rules over ``src/repro``, then the model probe and the
+engine-support check over TGCRN and every neural baseline in
+``baselines/registry.py``, all merged into one finding list with
+per-rule ``repro.obs`` counters.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from ..obs.metrics import MetricsRegistry
 from .concurrency import analyze_concurrency
 from .engine_support import check_engine_support
 from .findings import Baseline, Finding
-from .gradflow import lint_gradient_flow
 from .lint import lint_paths
-from .shapes import check_forecast_model
+from .probe import check_forecast_model
 
-#: tiny synthetic task used to instantiate the model catalog for checking
-_CHECK_TASK = dict(name="hzmetro", size="small", seed=0, num_nodes=6, num_days=5)
+#: tiny synthetic task used to instantiate the model catalog for checking;
+#: batch (2), history, horizon and nodes all differ so a swapped axis shows
+_CHECK_TASK = dict(name="hzmetro", size="small", seed=0, num_nodes=5, num_days=5,
+                   history=3, horizon=4)
 
 
 @dataclass
@@ -61,19 +63,16 @@ def _model_catalog(hidden_dim: int = 8, num_layers: int = 2, seed: int = 0):
 
 
 def analyze_models(rules: Sequence[str] | None = None, seed: int = 0) -> list[Finding]:
-    """Shape-check and gradient-flow-lint the full model catalog."""
+    """Probe (SH/GF) and engine-check (EN) the full model catalog."""
     wants = lambda rule_id: rules is None or any(rule_id.startswith(p) for p in rules)
-    run_shapes = wants("SH")
-    run_gradflow = wants("GF")
+    run_probe = wants("SH") or wants("GF")
     run_engine = wants("EN")
-    if not run_shapes and not run_gradflow and not run_engine:
+    if not run_probe and not run_engine:
         return []
     findings: list[Finding] = []
     for name, model, dims in _model_catalog(seed=seed):
-        if run_shapes:
+        if run_probe:
             findings.extend(check_forecast_model(model, model_name=name, **dims))
-        if run_gradflow:
-            findings.extend(lint_gradient_flow(model, model_name=name, **dims))
         if run_engine:
             findings.extend(check_engine_support(model, model_name=name, seed=seed, **dims))
     return [f for f in findings if rules is None or any(f.rule_id.startswith(p) for p in rules)]

@@ -3,8 +3,8 @@
 The eager autodiff in :mod:`repro.autodiff.tensor` re-dispatches every op
 through Python overloads and rebuilds the tape on every training step,
 even though the op graph of a (model, task) pair is static per shape
-bucket (``repro.analyze.shapes`` proves this symbolically).  This module
-removes that per-step overhead with a two-phase scheme:
+bucket.  This module removes that per-step overhead with a two-phase
+scheme:
 
 **Capture** — :meth:`ExecutionEngine.run` executes the step function once
 in an instrumented mode: every ``Tensor`` primitive is wrapped so the op,

@@ -14,7 +14,7 @@ from .tensor import DEFAULT_DTYPE, Tensor, ensure_tensor, get_symbolic_handler, 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = ensure_tensor(x)
-    handler = get_symbolic_handler()
+    handler = get_symbolic_handler()  # set only by the engine's capture/replay
     if handler is not None:
         symbolic = handler.softmax(x, axis)
         if symbolic is not None:
@@ -34,7 +34,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax."""
     x = ensure_tensor(x)
-    handler = get_symbolic_handler()
+    handler = get_symbolic_handler()  # set only by the engine's capture/replay
     if handler is not None:
         symbolic = handler.log_softmax(x, axis)
         if symbolic is not None:

@@ -39,23 +39,24 @@ _GRAD_ENABLED = True
 _MAKE_HOOK: Callable[[np.ndarray, Callable | None], None] | None = None
 _BACKWARD_OP_HOOK: Callable[[Callable, float, float], None] | None = None
 
-# ``_SYM_HANDLER`` (installed by repro.analyze.shapes) lets an abstract
-# interpreter intercept the module-level ops below, which read ``.data`` of
-# every operand up front and would otherwise drop symbolic tracking.  Each
-# hook returns None when no operand is symbolic, so the real implementation
-# runs untouched; the disabled cost is one global load + None check.
+# ``_SYM_HANDLER`` lets the execution engine (repro.autodiff.engine), its
+# only user, intercept the module-level ops below while it captures or
+# replays a step: consumers bind these names at import time, so patching
+# the module attribute would not reach them.  A hook that returns None lets
+# the real implementation run; the disabled cost is one global load + None
+# check.
 _SYM_HANDLER = None
 
 
 def set_symbolic_handler(handler):
-    """Install (or clear) the symbolic-execution handler; returns the previous one."""
+    """Install (or clear) the engine's op handler; returns the previous one."""
     global _SYM_HANDLER
     previous, _SYM_HANDLER = _SYM_HANDLER, handler
     return previous
 
 
 def get_symbolic_handler():
-    """The active symbolic-execution handler, or None."""
+    """The active engine op handler, or None."""
     return _SYM_HANDLER
 
 

@@ -434,7 +434,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Static analysis: repo lint + symbolic shape/gradflow over the model catalog."""
+    """Analysis: repo lint + concurrency rules + a real forward/backward probe of the model catalog."""
     from pathlib import Path
 
     from .analyze import (
@@ -451,7 +451,6 @@ def cmd_analyze(args) -> int:
     baseline_path = Path(args.baseline)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()] if args.rules else None
     paths = args.paths or None
-    include_models = not args.no_models
 
     if args.changed_only:
         # fast pre-commit mode: lint exactly the python files git says
@@ -471,7 +470,6 @@ def cmd_analyze(args) -> int:
         changed |= set(_git_lines("ls-files", "--others", "--exclude-standard", "--", "*.py"))
         root_dir = Path(args.root)
         paths = sorted(str(root_dir / name) for name in changed if (root_dir / name).is_file())
-        include_models = False
         if not paths:
             console.print("analyze: no changed python files")
             return 0
@@ -480,7 +478,7 @@ def cmd_analyze(args) -> int:
         root=args.root,
         paths=paths,
         rules=rules,
-        include_models=include_models,
+        include_models=not args.changed_only,
         baseline=Baseline.load(baseline_path),
         seed=args.seed,
     )
@@ -654,8 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="static analysis: AST lint over src/repro plus symbolic shape "
-             "and gradient-flow checks over the whole model catalog",
+        help="analysis: AST lint over src/repro plus one real forward/backward "
+             "probe of every model in the catalog",
     )
     analyze.add_argument("--rules", default=None,
                          help="comma-separated rule-id prefixes to run "
@@ -675,8 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["info", "warning", "error", "never"],
                          help="exit 1 when a NEW finding at/above this severity "
                               "exists (default: error)")
-    analyze.add_argument("--no-models", action="store_true",
-                         help="skip the symbolic model checks (lint only)")
     analyze.add_argument("--changed-only", action="store_true",
                          help="lint only files changed vs git HEAD "
                               "(fast pre-commit mode; skips model checks)")

@@ -2,7 +2,7 @@
 
 Every initializer returns ``DEFAULT_DTYPE`` (float64) explicitly rather
 than relying on numpy's sampling defaults, so parameter precision is a
-stated contract — the ``SH005`` rule in :mod:`repro.analyze.shapes`
+stated contract — the ``SH005`` rule in :mod:`repro.analyze.probe`
 flags any model whose parameters drift from it.
 """
 

@@ -115,13 +115,13 @@ class ForecastServer:
     clock:
         Monotonic time source shared with deadlines and the breaker;
         injectable for deterministic tests.
-    shape_check:
-        When True (default), every model is symbolically shape-checked
-        against the task (:func:`repro.analyze.shapes.check_served_model`)
-        before it takes traffic: construction raises
-        :class:`~repro.analyze.shapes.ModelShapeError` on error-severity
-        findings, and :meth:`reload_checkpoint` rejects a candidate that
-        fails the same check while the live model keeps serving.
+
+    Every model is probed against the task before it takes traffic
+    (:func:`repro.analyze.probe.check_served_model`: one real forward in
+    eval mode): construction raises
+    :class:`~repro.analyze.probe.ModelShapeError` on error-severity
+    findings, and :meth:`reload_checkpoint` rejects a candidate that
+    fails the same probe while the live model keeps serving.
     """
 
     def __init__(
@@ -137,7 +137,6 @@ class ForecastServer:
         metrics: MetricsRegistry | None = None,
         logger=None,
         clock=time.monotonic,
-        shape_check: bool = True,
         slo: SLOMonitor | None | bool = None,
         slo_ready_gate: bool = False,
     ):
@@ -164,10 +163,9 @@ class ForecastServer:
         self._fallback = HistoricalAverage.for_task(task)
         self._bound = output_bound(task)
 
-        self._shape_check = shape_check
         errors = self._shape_errors(model)
         if errors:
-            from ..analyze.shapes import ModelShapeError
+            from ..analyze.probe import ModelShapeError
 
             raise ModelShapeError(errors)
 
@@ -570,11 +568,11 @@ class ForecastServer:
         if shape_errors:
             self.metrics.counter("serve.reload_rejected").inc()
             self._log("checkpoint_rejected", path=str(path),
-                      reason="static shape check failed",
+                      reason="load-time probe failed",
                       findings=[f.to_dict() for f in shape_errors],
                       live_model_version=self.model_version)
             finish_span(reload_span, status="rejected",
-                        reason="static shape check failed")
+                        reason="load-time probe failed")
             return False
         version = self._version_of(candidate)
         with self._model_lock:
@@ -591,10 +589,8 @@ class ForecastServer:
     # -- plumbing ------------------------------------------------------- #
 
     def _shape_errors(self, model) -> list:
-        """Error-severity findings from the static shape check (or [])."""
-        if not self._shape_check:
-            return []
-        from ..analyze.shapes import check_served_model
+        """Error-severity findings from the load-time probe (or [])."""
+        from ..analyze.probe import check_served_model
         from ..nn import Module
 
         # Chaos/fault wrappers delegate to an inner model; check that one

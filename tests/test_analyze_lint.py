@@ -368,7 +368,7 @@ class TestCli:
         victim.write_text("import numpy as np\nx = np.random.rand(3)\n")
         json_out = tmp_path / "report.json"
         code = main([
-            "analyze", "--no-models", "--paths", str(victim),
+            "analyze", "--rules", "RL", "--paths", str(victim),
             "--baseline", str(tmp_path / "baseline.json"),
             "--json", str(json_out), "--quiet",
         ])
@@ -378,12 +378,12 @@ class TestCli:
 
         # Accept it into the baseline; the same run now passes.
         assert main([
-            "analyze", "--no-models", "--paths", str(victim),
+            "analyze", "--rules", "RL", "--paths", str(victim),
             "--baseline", str(tmp_path / "baseline.json"),
             "--update-baseline", "--quiet",
         ]) == 0
         assert main([
-            "analyze", "--no-models", "--paths", str(victim),
+            "analyze", "--rules", "RL", "--paths", str(victim),
             "--baseline", str(tmp_path / "baseline.json"), "--quiet",
         ]) == 0
 

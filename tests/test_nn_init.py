@@ -74,8 +74,8 @@ def test_initializers_return_float64():
 
 def test_float64_end_to_end():
     """Precision contract: params, activations, and grads stay float64
-    through a full TGCRN forward/backward (the SH005 analyzer rule
-    enforces the parameter half of this statically)."""
+    through a full TGCRN forward/backward (the model probe's SH005 and
+    SH006 rules enforce the parameter and output halves of this)."""
     from repro.autodiff import mae_loss, randn
     from repro.core import TGCRN
 

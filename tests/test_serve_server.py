@@ -305,27 +305,55 @@ class TestWarmReload:
         assert "reason" in rejected[0]
 
 
+def _mis_shaped_gate_model(task, name):
+    """A TGCRN whose first GCGRU gate emits one column too many."""
+    from repro.core import NodeAdaptiveGraphConv
+
+    bad = _model(task, name=name)
+    cell = bad.encoder_cells[0]
+    cell.gate_conv = NodeAdaptiveGraphConv(
+        cell.in_dim + cell.hidden_dim, 2 * cell.hidden_dim + 1,
+        embed_dim=6, rng=named_rng(9, "serve-bad-gate"),
+    )
+    return bad
+
+
 class TestStaticShapeGate:
-    """A served model is symbolically shape-checked against its task
-    before it can take traffic (repro.analyze.shapes wiring)."""
+    """A served model is probed against its task (one real forward,
+    repro.analyze.probe) before it can take traffic."""
 
     def test_mis_shaped_model_is_rejected_at_construction(self, tiny_task, clock):
         from repro.analyze import ModelShapeError
-        from repro.core import NodeAdaptiveGraphConv
 
-        bad = _model(tiny_task, name="serve-bad-model")
-        cell = bad.encoder_cells[0]
-        bad.encoder_cells[0].gate_conv = NodeAdaptiveGraphConv(
-            cell.in_dim + cell.hidden_dim, 2 * cell.hidden_dim + 1,
-            embed_dim=6, rng=named_rng(9, "serve-bad-gate"),
-        )
+        bad = _mis_shaped_gate_model(tiny_task, "serve-bad-model")
         with pytest.raises(ModelShapeError) as excinfo:
             ForecastServer(bad, tiny_task, clock=clock)
         assert any(f.severity == "error" for f in excinfo.value.findings)
 
-    def test_shape_check_can_be_disabled(self, tiny_task, clock):
-        bad = _model(tiny_task, name="serve-bad-model-2")
-        pool = bad.encoder_cells[0].gate_conv.weight_pool
-        pool.data = pool.data.astype(np.float32)  # SH005 would reject this
-        server = ForecastServer(bad, tiny_task, clock=clock, shape_check=False)
-        assert server.ready()
+    def test_reload_rejects_candidate_that_fails_the_probe(self, tiny_task, clock, tmp_path):
+        """The checkpoint loads (its shapes match the factory's model), but
+        the candidate fails the gate: the live model keeps serving."""
+        import json
+
+        log = tmp_path / "serve.jsonl"
+        logger = RunLogger(path=str(log), console=False)
+        server = ForecastServer(
+            _model(tiny_task), tiny_task, logger=logger, clock=clock,
+            model_factory=lambda: _mis_shaped_gate_model(tiny_task, "serve-bad-candidate"),
+        )
+        path = tmp_path / "bad-gate.npz"
+        save_checkpoint(path, _mis_shaped_gate_model(tiny_task, "serve-bad-saved"))
+        before = server.model_version
+        assert not server.reload_checkpoint(path)
+        assert server.model_version == before
+        assert server.metrics._counters["serve.reload_rejected"].value == 1
+        server.submit(_payload(tiny_task, 0))
+        (response,) = server.drain()
+        assert response.source == "model" and response.model_version == before
+        logger.close()
+
+        records = [json.loads(line) for line in log.open()]
+        (rejected,) = [r for r in records if r["event"] == "checkpoint_rejected"]
+        assert rejected["live_model_version"] == before
+        assert [f["location"] for f in rejected["findings"]] == [
+            "model:TGCRN/encoder_cells.0"]
