@@ -94,20 +94,16 @@ class TestPlantedBugs:
         _errors(check_forecast_model(Bad(), **DIMS), "SH001")
 
     def test_model_crash_is_sh001_error(self):
-        """A crash on a valid input is an error, not an "uncheckable"
-        warning, and no gradient finding is guessed after it."""
+        """A crash on a valid input is an error, not an "uncheckable" warning."""
 
-        class Opaque(Module):
-            def __init__(self):
-                super().__init__()
-                self.weight = Parameter(np.ones(3))
-
+        class Weird(Module):
             def forward(self, x, t):
                 raise RuntimeError("planted crash")
 
-        findings = check_forecast_model(Opaque(), **DIMS)
+        findings = check_forecast_model(Weird(), **DIMS)
         assert _rule_ids(findings) == {"SH001"}
-        _errors(findings, "SH001")
+        (finding,) = _errors(findings, "SH001")
+        assert finding.message == "forward raised RuntimeError: planted crash"
 
     def test_backward_crash_is_sh001(self, rng):
         class BadGrad(_GoodModel):
@@ -228,6 +224,24 @@ class TestGradientFlow:
                 return _horizon_stack(frame + 0.0 * self.scale.detach())
 
         assert check_forecast_model(Fine(), **DIMS) == []
+
+    def test_model_crash_guesses_no_gradient_finding(self):
+        """A forward that raises leaves every .grad at None; that is the
+        crash (SH001), not a dead parameter, so no GF001 is reported."""
+
+        class Opaque(Module):
+            def __init__(self):
+                super().__init__()
+                self.weight = Parameter(np.ones(3))
+
+            def forward(self, x, t):
+                raise RuntimeError("planted crash")
+
+        findings = check_forecast_model(Opaque(), **DIMS)
+        assert not {r for r in _rule_ids(findings) if r.startswith("GF")}, [
+            f.to_dict() for f in findings
+        ]
+        _errors(findings, "SH001")
 
     def test_tgcrn_has_no_dead_parameters(self):
         findings = check_forecast_model(_tiny_tgcrn(), model_name="tgcrn", **DIMS)
