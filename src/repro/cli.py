@@ -9,7 +9,7 @@ Usage::
     python -m repro.cli inspect --dataset hzmetro
     python -m repro.cli evaluate --dataset hzmetro --checkpoint model.npz
     python -m repro.cli profile --dataset hzmetro --epochs 1   # hot-op table
-    python -m repro.cli experiments table6 --smoke            # one paper artifact
+    python -m repro.cli experiments fig10_lambda --scale smoke   # one paper artifact
     python -m repro.cli analyze             # static analysis vs the baseline
     python -m repro.cli verify              # correctness harness outside pytest
     python -m repro.cli obs-report --spans spans.jsonl   # span-tree analysis
@@ -39,6 +39,7 @@ from .core import TGCRN
 from .core.variants import VARIANTS
 from .data import load_task
 from .data.datasets import SPECS
+from .experiments import SCALES, list_experiments, run, save
 from .nn.serialization import load_checkpoint, save_checkpoint
 from .obs import Console, trace
 from .training import Trainer, TrainingConfig, default_tgcrn_kwargs, run_experiment
@@ -183,19 +184,17 @@ def _trainer(args) -> "Trainer":
     return Trainer(config)
 
 
+def _model_kwargs(args) -> dict:
+    """TGCRN dims from CLI args; baselines ignore them (and read ``num_layers``)."""
+    return dict(node_dim=args.node_dim, time_dim=args.time_dim, num_layers=args.layers)
+
+
 def _train_once(args, task, keep_model: bool = True, trainer=None):
     """Shared train/profile path: run one experiment from CLI args."""
     trainer = trainer if trainer is not None else _trainer(args)
-    if args.model == "tgcrn" or args.model in VARIANTS:
-        return run_experiment(
-            args.model, task, hidden_dim=args.hidden,
-            model_kwargs=dict(node_dim=args.node_dim, time_dim=args.time_dim,
-                              num_layers=args.layers),
-            keep_model=keep_model, trainer=trainer,
-        )
     return run_experiment(
-        args.model, task, hidden_dim=args.hidden,
-        num_layers=args.layers, keep_model=keep_model, trainer=trainer,
+        args.model, task, hidden_dim=args.hidden, num_layers=args.layers,
+        model_kwargs=_model_kwargs(args), keep_model=keep_model, trainer=trainer,
     )
 
 
@@ -305,18 +304,12 @@ def cmd_compare(args) -> int:
     def _run_all():
         for name in args.models.split(","):
             name = name.strip()
-            kwargs = {}
-            if name == "tgcrn" or name in VARIANTS:
-                kwargs["model_kwargs"] = dict(
-                    node_dim=args.node_dim, time_dim=args.time_dim, num_layers=args.layers
-                )
-            else:
-                kwargs["num_layers"] = args.layers
             console.print(f"running {name}...", flush=True)
             if logger is not None:
                 logger.log("model_start", model=name)
             results.append(run_experiment(name, task, config, hidden_dim=args.hidden,
-                                          logger=logger, **kwargs))
+                                          num_layers=args.layers,
+                                          model_kwargs=_model_kwargs(args), logger=logger))
 
     try:
         _run_traced(args, _run_all)
@@ -357,14 +350,18 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    from .experiments import SMOKE, list_experiments, run
-
+    """Regenerate paper artifacts: print each, and save it under ``--out``."""
     if args.name is None:
         print("available experiments:")
         for name in list_experiments():
             print(f"  {name}")
         return 0
-    print(run(args.name, SMOKE if args.smoke else None))
+    scale = SCALES[args.scale]
+    for name in list_experiments() if args.name == "all" else [args.name]:
+        text, data = run(name, scale)
+        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}", flush=True)
+        if args.out:
+            save(args.out, name, scale, text, data)
     return 0
 
 
@@ -514,8 +511,9 @@ def cmd_obs_report(args) -> int:
     checks request-tree completeness, and prints the per-stage latency
     breakdown plus the slowest request's critical path.  With
     ``--bench-current/--bench-history``, compares a fresh
-    ``bench_table8_cost`` artifact against committed history with
-    machine-speed-invariant normalization.  ``--fail-on`` gates CI.
+    ``table8_cost.json`` (``experiments table8_cost --out DIR``) against
+    the committed one with machine-speed-invariant normalization.
+    ``--fail-on`` gates CI.
     """
     import json as _json
     from pathlib import Path
@@ -645,9 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate a paper table/figure (or list them)"
     )
     experiments.add_argument("name", nargs="?", default=None,
-                             help="experiment id, e.g. table6 or fig8; omit to list")
-    experiments.add_argument("--smoke", action="store_true",
-                             help="run at smoke-test scale (1 epoch, 6 nodes)")
+                             help="artifact name (e.g. table6_electricity) or 'all'; "
+                                  "omit to list")
+    experiments.add_argument("--scale", choices=list(SCALES), default="quick",
+                             help="smoke: 1 epoch on 6 nodes; quick: the committed "
+                                  "benchmarks/results; full: hours on CPU")
+    experiments.add_argument("--out", default=None, metavar="DIR",
+                             help="write DIR/<name>.txt (and .json when the artifact "
+                                  "has data)")
     experiments.set_defaults(fn=cmd_experiments)
 
     analyze = sub.add_parser(
@@ -707,9 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="span JSONL stream (from --spans-jsonl or a "
                                  "SpanCollector)")
     obs_report.add_argument("--bench-current", default=None, metavar="PATH",
-                            help="fresh bench_table8_cost artifact to judge")
+                            help="fresh table8_cost.json (experiments table8_cost "
+                                 "--out DIR) to judge")
     obs_report.add_argument("--bench-history", default=None, metavar="PATH",
-                            help="committed bench history to compare against")
+                            help="committed benchmarks/results/table8_cost.json "
+                                 "to compare against")
     obs_report.add_argument("--threshold", type=float, default=2.0,
                             help="normalized per-model slowdown that counts as "
                                  "a regression (default 2.0)")

@@ -49,7 +49,7 @@ class TagSL(Module):
         ``"scalar"`` — the paper's ⟨E_τ^t, E_τ^{t-1}⟩ scalar; ``"vector"``
         — an extension where the trend contributes a rank-1 per-edge term
         ⟨E_τ^t ⊙ E_v, E_τ^{t-1} ⊙ E_v⟩-style outer product (ablated in
-        ``bench_ablation_extras``).
+        the ``ablation_extras`` experiment).
     top_k:
         Optional per-row sparsification: keep only each node's ``top_k``
         strongest correlations before normalization (Graph WaveNet-style

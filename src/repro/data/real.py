@@ -12,7 +12,7 @@ DESIGN.md §2), but users who obtain it can plug it straight in:
 
 Each loader returns a :class:`~repro.data.synthetic.SyntheticDataset`
 -compatible container (values + calendar fields), so everything
-downstream — windowing, scalers, Trainer, benches — works unchanged.
+downstream — windowing, scalers, Trainer, experiments — works unchanged.
 """
 
 from __future__ import annotations

@@ -1,5 +1,16 @@
-"""Programmatic registry of the paper's tables and figures."""
+"""The paper's tables and figures, one registered function per results file."""
 
-from .registry import SMOKE, ExperimentScale, experiment, list_experiments, run
+from .registry import (
+    FULL,
+    QUICK,
+    SCALES,
+    SMOKE,
+    ExperimentScale,
+    experiment,
+    list_experiments,
+    run,
+    save,
+)
 
-__all__ = ["SMOKE", "ExperimentScale", "experiment", "list_experiments", "run"]
+__all__ = ["FULL", "QUICK", "SCALES", "SMOKE", "ExperimentScale", "experiment",
+           "list_experiments", "run", "save"]

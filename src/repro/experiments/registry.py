@@ -1,69 +1,114 @@
-"""Programmatic registry of the paper's experiments.
+"""The paper's §IV evaluation: one registered function per results file.
 
-The pytest benches under ``benchmarks/`` are thin wrappers around these
-functions; importing them here lets users regenerate any table/figure
-from Python or the CLI without pytest:
+Each function regenerates one table or figure of the paper (or one
+extension experiment) and returns its rendered text;
+``benchmarks/results/<name>.txt`` is that text at :data:`QUICK` scale.
+From the command line::
 
->>> from repro.experiments import run, list_experiments
->>> print(run("table6"))           # doctest: +SKIP
+    python -m repro.cli experiments                          # list them
+    python -m repro.cli experiments table6_electricity --scale smoke
+    python -m repro.cli experiments all --scale quick --out benchmarks/results
 
-Each experiment accepts a :class:`ExperimentScale` so callers can dial
-node counts / epochs between smoke-test and paper-approaching sizes.
+or from Python:
+
+>>> from repro.experiments import QUICK, run
+>>> text, data = run("table6_electricity", QUICK)   # doctest: +SKIP
+
+At quick scale the absolute numbers differ from the paper's; the
+*shapes* (method ordering, ablation deltas, crossovers) are the
+reproduction target (DESIGN.md §4).  Each function's docstring states
+the shape the paper expects.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ..autodiff import Tensor, no_grad
+from ..baselines import build_baseline
+from ..core import TGCRN, DiscreteTimeEmbedding, TimeDiscrepancyLearner
 from ..data import load_task
+from ..data.events import inject_events, split_regular_disrupted
+from ..data.windows import make_windows
+from ..ioutil import atomic_write_text
+from ..metrics import evaluate
+from ..nn import Adam
 from ..training import (
+    ExperimentResult,
+    Trainer,
     TrainingConfig,
+    default_tgcrn_kwargs,
     format_ablation_table,
     format_cost_table,
     format_demand_table,
     format_electricity_table,
     format_metro_table,
     format_relative_series,
+    paired_significance,
     run_experiment,
+)
+from ..viz import (
+    matrix_correlation,
+    ordering_score,
+    render_heatmap,
+    side_by_side,
+    tsne,
 )
 
 
 @dataclass(frozen=True)
 class ExperimentScale:
-    """Size knobs shared by all experiments."""
+    """Dataset sizes, epochs and model dims shared by every artifact."""
 
-    metro_nodes: int = 12
-    metro_days: int = 10
-    demand_nodes: int = 10
-    demand_days: int = 8
-    electricity_nodes: int = 10
-    electricity_days: int = 20
-    epochs: int = 8
-    hidden_dim: int = 16
-    node_dim: int = 16
-    time_dim: int = 8
-    num_layers: int = 1
-    seed: int = 0
+    name: str
+    metro_nodes: int
+    metro_days: int
+    demand_nodes: int
+    demand_days: int
+    electricity_nodes: int
+    electricity_days: int
+    epochs: int
+    hidden_dim: int
+    node_dim: int
+    time_dim: int
+    num_layers: int
 
     def tgcrn_kwargs(self) -> dict:
         return dict(node_dim=self.node_dim, time_dim=self.time_dim, num_layers=self.num_layers)
 
     def config(self, **overrides) -> TrainingConfig:
-        values = dict(epochs=self.epochs, batch_size=16, seed=self.seed)
+        values = dict(epochs=self.epochs, batch_size=16, seed=0)
         values.update(overrides)
         return TrainingConfig(**values)
 
 
+#: one epoch on six nodes: every artifact runs, no number means anything
 SMOKE = ExperimentScale(
-    metro_nodes=6, metro_days=6, demand_nodes=6, demand_days=6,
+    name="smoke", metro_nodes=6, metro_days=6, demand_nodes=6, demand_days=6,
     electricity_nodes=6, electricity_days=10, epochs=1, hidden_dim=8,
-    node_dim=4, time_dim=4,
+    node_dim=4, time_dim=4, num_layers=1,
 )
+#: CPU-sized configs; ``benchmarks/results/`` is this scale
+QUICK = ExperimentScale(
+    name="quick", metro_nodes=12, metro_days=10, demand_nodes=10, demand_days=8,
+    electricity_nodes=10, electricity_days=20, epochs=8, hidden_dim=16,
+    node_dim=16, time_dim=8, num_layers=1,
+)
+#: larger configs approaching Table III sizes; hours on CPU
+FULL = ExperimentScale(
+    name="full", metro_nodes=40, metro_days=25, demand_nodes=32, demand_days=28,
+    electricity_nodes=24, electricity_days=60, epochs=30, hidden_dim=64,
+    node_dim=32, time_dim=16, num_layers=2,
+)
+SCALES = {scale.name: scale for scale in (SMOKE, QUICK, FULL)}
 
-_REGISTRY: dict[str, Callable[[ExperimentScale], str]] = {}
+#: an artifact returns its text, or its text plus a JSON-able data payload
+_REGISTRY: dict[str, Callable[[ExperimentScale], str | tuple[str, dict]]] = {}
 
 
 def experiment(name: str):
@@ -80,17 +125,33 @@ def list_experiments() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def run(name: str, scale: ExperimentScale | None = None) -> str:
-    """Run a registered experiment; returns the rendered table/figure."""
+def run(name: str, scale: ExperimentScale = QUICK) -> tuple[str, dict | None]:
+    """Run a registered experiment; returns ``(text, data)``.
+
+    ``data`` is ``None`` unless the artifact returns structured numbers
+    (only ``table8_cost`` does).
+    """
     try:
         fn = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown experiment {name!r}; choose from {list_experiments()}") from None
-    return fn(scale or ExperimentScale())
+    out = fn(scale)
+    return out if isinstance(out, tuple) else (out, None)
+
+
+def save(out_dir: str | Path, name: str, scale: ExperimentScale, text: str,
+         data: dict | None = None) -> Path:
+    """Write ``out_dir/<name>.txt``, plus ``<name>.json`` when there is data."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if data is not None:
+        payload = {"name": name, "scale": scale.name, "text": text, "data": data}
+        atomic_write_text(out_dir / f"{name}.json", json.dumps(payload, indent=2) + "\n")
+    return atomic_write_text(out_dir / f"{name}.txt", text + "\n")
 
 
 # --------------------------------------------------------------------- #
-# the paper's artifacts
+# shared helpers
 # --------------------------------------------------------------------- #
 
 _METRO_METHODS = ("ha", "gbdt", "fclstm", "informer", "crossformer",
@@ -99,153 +160,488 @@ _DEMAND_METHODS = ("ha", "xgboost", "fclstm", "informer", "crossformer",
                    "dcrnn", "gwnet", "ccrnn", "gts", "esg", "tgcrn")
 _ELECTRICITY_METHODS = ("gwnet", "agcrn", "informer", "crossformer", "esg", "tgcrn")
 _VARIANTS = ("tgcrn", "wo_tagsl", "w_te", "wo_tdl", "wo_pdf", "time2vec", "ctr", "wo_encdec")
-
-
-def _run_methods(task, methods, scale: ExperimentScale, config=None):
-    config = config or scale.config()
-    results = []
-    for method in methods:
-        kwargs = {}
-        if method == "tgcrn" or method in _VARIANTS:
-            kwargs["model_kwargs"] = scale.tgcrn_kwargs()
-        else:
-            kwargs["num_layers"] = scale.num_layers
-        results.append(
-            run_experiment(method, task, config, hidden_dim=scale.hidden_dim, **kwargs)
-        )
-    return results
+_GRAPH_MODELS = ("dcrnn", "agcrn", "gwnet", "pvcgn", "esg")
 
 
 def _metro_task(dataset: str, scale: ExperimentScale):
-    return load_task(dataset, num_nodes=scale.metro_nodes, num_days=scale.metro_days,
-                     seed=scale.seed)
+    return load_task(dataset, num_nodes=scale.metro_nodes, num_days=scale.metro_days, seed=0)
+
+
+def _demand_task(dataset: str, scale: ExperimentScale):
+    return load_task(dataset, num_nodes=scale.demand_nodes, num_days=scale.demand_days, seed=0)
+
+
+def _train(method: str, task, scale: ExperimentScale, config: TrainingConfig, *,
+           seed: int = 0, keep_model: bool = False, **model_overrides) -> ExperimentResult:
+    """Train one method at ``scale``.
+
+    Every method gets the same call: baselines read ``num_layers`` and
+    ignore ``model_kwargs``; TGCRN and its variants take the scale's
+    embedding dims, with ``model_overrides`` on top.
+    """
+    return run_experiment(
+        method, task, config, hidden_dim=scale.hidden_dim, num_layers=scale.num_layers,
+        model_kwargs={**scale.tgcrn_kwargs(), **model_overrides}, seed=seed,
+        keep_model=keep_model,
+    )
+
+
+def _tgcrn(task, scale: ExperimentScale):
+    """An untrained TGCRN at ``scale``, for artifacts that inspect its parts."""
+    return TGCRN(
+        **default_tgcrn_kwargs(task, hidden_dim=scale.hidden_dim, **scale.tgcrn_kwargs()),
+        rng=np.random.default_rng(0),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Tables IV-VIII
+# --------------------------------------------------------------------- #
+
+
+def _table4(dataset: str, scale: ExperimentScale) -> str:
+    """Table IV: forecasting performance on HZMetro and SHMetro.
+
+    Per-horizon MAE/RMSE/MAPE of eleven methods at 15/30/45/60 minutes.
+    Expected shape (paper): HA/GBDT worst, FC-LSTM and transformers
+    mid-pack, graph models best, TGCRN first on every metric with the
+    margin growing at longer horizons.
+    """
+    task = _metro_task(dataset, scale)
+    config = scale.config()
+    results = [_train(method, task, scale, config) for method in _METRO_METHODS]
+    return format_metro_table(results, interval_minutes=task.spec.interval_minutes)
 
 
 @experiment("table4_hzmetro")
 def table4_hzmetro(scale: ExperimentScale) -> str:
-    task = _metro_task("hzmetro", scale)
-    return format_metro_table(_run_methods(task, _METRO_METHODS, scale),
-                              interval_minutes=task.spec.interval_minutes)
+    return _table4("hzmetro", scale)
 
 
 @experiment("table4_shmetro")
 def table4_shmetro(scale: ExperimentScale) -> str:
-    task = _metro_task("shmetro", scale)
-    return format_metro_table(_run_methods(task, _METRO_METHODS, scale),
-                              interval_minutes=task.spec.interval_minutes)
+    return _table4("shmetro", scale)
+
+
+def _table5(dataset: str, scale: ExperimentScale) -> str:
+    """Table V: demand forecasting on NYC-Bike and NYC-Taxi.
+
+    Overall MAE/RMSE/PCC.  Expected shape (paper): HA worst, XGBoost/
+    FC-LSTM behind the graph models, CCRNN/ESG the strongest baselines,
+    TGCRN best with the highest PCC.
+    """
+    task = _demand_task(dataset, scale)
+    config = scale.config(epochs=max(3, scale.epochs // 2))
+    return format_demand_table([_train(m, task, scale, config) for m in _DEMAND_METHODS])
 
 
 @experiment("table5_nyc_bike")
 def table5_nyc_bike(scale: ExperimentScale) -> str:
-    task = load_task("nyc_bike", num_nodes=scale.demand_nodes, num_days=scale.demand_days,
-                     seed=scale.seed)
-    return format_demand_table(_run_methods(task, _DEMAND_METHODS, scale))
+    return _table5("nyc_bike", scale)
 
 
 @experiment("table5_nyc_taxi")
 def table5_nyc_taxi(scale: ExperimentScale) -> str:
-    task = load_task("nyc_taxi", num_nodes=scale.demand_nodes, num_days=scale.demand_days,
-                     seed=scale.seed)
-    return format_demand_table(_run_methods(task, _DEMAND_METHODS, scale))
+    return _table5("nyc_taxi", scale)
 
 
-@experiment("table6")
+@experiment("table6_electricity")
 def table6_electricity(scale: ExperimentScale) -> str:
+    """Table VI: MSE/MAE on the Electricity dataset.
+
+    Expected shape (paper): Informer and Graph WaveNet weakest, AGCRN/
+    ESG/Crossformer close, TGCRN best on both metrics.
+    """
     task = load_task("electricity", num_nodes=scale.electricity_nodes,
-                     num_days=scale.electricity_days, seed=scale.seed)
-    return format_electricity_table(_run_methods(task, _ELECTRICITY_METHODS, scale))
+                     num_days=scale.electricity_days, seed=0)
+    config = scale.config(epochs=max(3, scale.epochs // 2))
+    return format_electricity_table([_train(m, task, scale, config) for m in _ELECTRICITY_METHODS])
 
 
-@experiment("table7")
-def table7_ablation(scale: ExperimentScale) -> str:
+def _table7(dataset: str, scale: ExperimentScale) -> str:
+    """Table VII: ablation study of TGCRN's components.
+
+    Expected shape (paper): *w/o tagsl* suffers the largest drop; *w/ TE*,
+    *w/o TDL*, *w/o PDF*, *Time2vec*, *CTR* and *w/o enc-dec* all trail
+    the full model by smaller but consistent margins.
+    """
+    task = _metro_task(dataset, scale)
+    config = scale.config()
+    return format_ablation_table([_train(v, task, scale, config) for v in _VARIANTS])
+
+
+@experiment("table7_ablation_hzmetro")
+def table7_ablation_hzmetro(scale: ExperimentScale) -> str:
+    return _table7("hzmetro", scale)
+
+
+@experiment("table7_ablation_shmetro")
+def table7_ablation_shmetro(scale: ExperimentScale) -> str:
+    return _table7("shmetro", scale)
+
+
+@experiment("table8_cost")
+def table8_cost(scale: ExperimentScale) -> tuple[str, dict]:
+    """Table VIII: parameter counts and training time per epoch.
+
+    Parameter counts are computed at the *paper's* HZMetro configuration
+    (N = 80, hidden 64, two layers, TGCRN at (d_ν, d_τ) = (16,16) and
+    (64,32)) so the ordering matches the published table:
+    DCRNN/GWNet < AGCRN < ESG < TGCRN(16,16) < TGCRN(64,32) < PVCGN.
+    Seconds per epoch are measured on ``scale``'s HZMetro config over two
+    epochs, so TGCRN's time sits on a row of its own, at the dims it was
+    timed at, and the footer names both configs.  Expected shape:
+    static-graph models cheapest, dynamic-graph models (ESG, TGCRN)
+    costlier, multi-graph PVCGN the most expensive recurrent.
+    """
+    paper = load_task("hzmetro", num_nodes=80, num_days=3, seed=0)
+    parameters = {
+        name: build_baseline(name, paper, hidden_dim=64, num_layers=2, seed=0).num_parameters()
+        for name in _GRAPH_MODELS
+    }
+    for dv, dt in ((16, 16), (64, 32)):
+        model = TGCRN(**default_tgcrn_kwargs(paper, hidden_dim=64, num_layers=2,
+                                             node_dim=dv, time_dim=dt),
+                      rng=np.random.default_rng(0))
+        parameters[f"tgcrn (dv={dv},dt={dt})"] = model.num_parameters()
+
     task = _metro_task("hzmetro", scale)
-    results = [
-        run_experiment(name, task, scale.config(), hidden_dim=scale.hidden_dim,
-                       model_kwargs=scale.tgcrn_kwargs())
-        for name in _VARIANTS
-    ]
-    return format_ablation_table(results)
+    config = scale.config(epochs=2)
+    seconds = {name: _train(name, task, scale, config).seconds_per_epoch
+               for name in _GRAPH_MODELS + ("tgcrn",)}
 
-
-@experiment("table8")
-def table8_cost(scale: ExperimentScale) -> str:
-    from ..baselines import build_baseline
-    from ..core import TGCRN
-
-    task = _metro_task("hzmetro", scale)
-    config = scale.config(epochs=min(2, scale.epochs))
-    rows = []
-    for name in ("dcrnn", "agcrn", "gwnet", "pvcgn", "esg"):
-        result = run_experiment(name, task, config, hidden_dim=scale.hidden_dim,
-                                num_layers=scale.num_layers)
-        rows.append((name, result.num_parameters, result.seconds_per_epoch))
-    result = run_experiment("tgcrn", task, config, hidden_dim=scale.hidden_dim,
-                            model_kwargs=scale.tgcrn_kwargs())
-    rows.append(("tgcrn", result.num_parameters, result.seconds_per_epoch))
-    return format_cost_table(rows)
-
-
-@experiment("fig8")
-def fig8_multistep(scale: ExperimentScale) -> str:
-    task = _metro_task("hzmetro", scale)
-    methods = ("fclstm", "dcrnn", "agcrn", "esg", "tgcrn")
-    results = _run_methods(task, methods, scale)
-    curves = {r.model_name: r.horizon_metric("mae") for r in results}
-    benchmark_curve = curves["fclstm"]
-    lines = ["MAE relative to FC-LSTM"]
-    for method in methods:
-        lines.append(format_relative_series(method, curves[method], benchmark_curve))
-    return "\n".join(lines)
-
-
-@experiment("fig9")
-def fig9_dims(scale: ExperimentScale) -> str:
-    task = _metro_task("hzmetro", scale)
-    lines = [f"{'d_v':>5} {'d_t':>5} | {'MAE':>7} {'#params':>9}"]
-    for dv in (scale.node_dim // 2 or 2, scale.node_dim, scale.node_dim * 2):
-        for dt in (scale.time_dim // 2 or 2, scale.time_dim):
-            result = run_experiment(
-                "tgcrn", task, scale.config(), hidden_dim=scale.hidden_dim,
-                model_kwargs=dict(node_dim=dv, time_dim=dt, num_layers=scale.num_layers),
-            )
-            lines.append(f"{dv:>5} {dt:>5} | {result.overall.mae:7.2f} {result.num_parameters:9,d}")
-    return "\n".join(lines)
-
-
-@experiment("fig10")
-def fig10_lambda(scale: ExperimentScale) -> str:
-    task = _metro_task("hzmetro", scale)
-    lines = [f"{'lambda':>7} | {'MAE':>7}"]
-    for lam in (0.0, 0.1, 1.0):
-        result = run_experiment(
-            "tgcrn", task, scale.config(lambda_time=lam), hidden_dim=scale.hidden_dim,
-            model_kwargs=scale.tgcrn_kwargs(),
-        )
-        lines.append(f"{lam:>7.2f} | {result.overall.mae:7.2f}")
-    return "\n".join(lines)
-
-
-@experiment("fig12")
-def fig12_time_representation(scale: ExperimentScale) -> str:
-    from ..core import DiscreteTimeEmbedding, TimeDiscrepancyLearner
-    from ..nn import Adam
-    from ..viz import ordering_score, tsne
-
-    steps_per_day = 73
-    encoder = DiscreteTimeEmbedding(steps_per_day, scale.time_dim, rng=np.random.default_rng(1))
-    learner = TimeDiscrepancyLearner(encoder, np.random.default_rng(2), adjacent_range=4)
-    optimizer = Adam([encoder.weight], lr=0.01)
-    windows = np.arange(16)[None, :] + np.arange(0, steps_per_day * 4, 7)[:, None]
-    for _ in range(max(100, scale.epochs * 25)):
-        optimizer.zero_grad()
-        loss = learner(windows)
-        loss.backward()
-        optimizer.step()
-    trained = ordering_score(tsne(encoder.weight.data, iterations=300, seed=0))
-    random_table = np.random.default_rng(9).normal(size=(steps_per_day, scale.time_dim))
-    baseline = ordering_score(tsne(random_table, iterations=300, seed=0))
-    return (
-        "t-SNE ordering score (1 = sequential layout)\n"
-        f"with TDL      {trained:.3f}\n"
-        f"random table  {baseline:.3f}"
+    rows = [(name, count, seconds.get(name)) for name, count in parameters.items()]
+    rows.append((f"tgcrn (dv={scale.node_dim},dt={scale.time_dim})", None, seconds["tgcrn"]))
+    table = format_cost_table(rows) + (
+        "\n\n# Parameters: HZMetro paper config (N=80, hidden 64, layers 2)."
+        f"\ns/epoch: {scale.name} config (N={scale.metro_nodes}, hidden {scale.hidden_dim}, "
+        f"layers {scale.num_layers}, batch 16, {config.epochs} epochs)."
     )
+    return table, {"parameters": parameters, "seconds_per_epoch": seconds}
+
+
+# --------------------------------------------------------------------- #
+# Figs. 8-12
+# --------------------------------------------------------------------- #
+
+
+def _fig8(dataset: str, task, scale: ExperimentScale) -> str:
+    """Fig. 8: multi-step MAE relative to the FC-LSTM benchmark.
+
+    Each method's MAE at every horizon, divided by FC-LSTM's MAE at the
+    same horizon.  Expected shape (paper): TGCRN's ratio is lowest and
+    *decreases* (or degrades slowest) with the horizon — its advantage
+    grows with the forecasting distance.
+    """
+    methods = ("fclstm", "dcrnn", "agcrn", "esg", "tgcrn")
+    config = scale.config()
+    curves = {m: _train(m, task, scale, config).horizon_metric("mae") for m in methods}
+    horizons = " ".join(f"  t+{q+1:<3}" for q in range(task.horizon))
+    lines = [f"MAE relative to FC-LSTM ({dataset}); horizons: {horizons}"]
+    for method in methods:
+        lines.append(format_relative_series(method, curves[method], curves["fclstm"]))
+    return "\n".join(lines)
+
+
+@experiment("fig8_multistep_hzmetro")
+def fig8_multistep_hzmetro(scale: ExperimentScale) -> str:
+    return _fig8("hzmetro", _metro_task("hzmetro", scale), scale)
+
+
+@experiment("fig8_multistep_nyc_bike")
+def fig8_multistep_nyc_bike(scale: ExperimentScale) -> str:
+    return _fig8("nyc_bike", _demand_task("nyc_bike", scale), scale)
+
+
+@experiment("fig9_embedding_dims")
+def fig9_embedding_dims(scale: ExperimentScale) -> str:
+    """Fig. 9: sensitivity to the node (d_ν) and time (d_τ) embedding sizes.
+
+    Sweeps both dimensionalities on HZMetro.  Expected shape (paper):
+    performance improves as either dimensionality grows, with diminishing
+    returns / slight fluctuation at the top end — alongside a
+    parameter-count growth that motivates the Table VIII trade-off.
+    """
+    task = _metro_task("hzmetro", scale)
+    config = scale.config()
+    lines = [f"{'d_v':>5} {'d_t':>5} | {'MAE':>7} {'RMSE':>8} {'#params':>9}", "-" * 42]
+    for dv in (4, 8, 16, 32):
+        for dt in (4, 8, 16):
+            result = _train("tgcrn", task, scale, config, node_dim=dv, time_dim=dt)
+            lines.append(
+                f"{dv:>5} {dt:>5} | {result.overall.mae:7.2f} "
+                f"{result.overall.rmse:8.2f} {result.num_parameters:9,d}"
+            )
+    return "\n".join(lines)
+
+
+@experiment("fig10_lambda")
+def fig10_lambda(scale: ExperimentScale) -> str:
+    """Fig. 10: sensitivity to the joint-loss weight λ (Eq. 17).
+
+    Expected shape (paper): a turning point around λ ≈ 0.1 — a moderate
+    amount of time-discrepancy regularization helps, a dominant auxiliary
+    loss hurts.
+    """
+    task = _metro_task("hzmetro", scale)
+    lines = [f"{'lambda':>7} | {'MAE':>7} {'RMSE':>8} {'MAPE%':>7}", "-" * 36]
+    for lam in (0.0, 0.01, 0.1, 0.5, 1.0):
+        overall = _train("tgcrn", task, scale, scale.config(lambda_time=lam)).overall
+        lines.append(f"{lam:>7.2f} | {overall.mae:7.2f} {overall.rmse:8.2f} {overall.mape:7.2f}")
+    return "\n".join(lines)
+
+
+def _learned_adjacency(model, task, step: int) -> np.ndarray:
+    """A^t for the scaled frame at absolute ``step``, diagonal zeroed."""
+    frame = task.scaler.transform(task.dataset.values[step : step + 1])  # (1, N, d)
+    with no_grad():
+        adjacency = model.tagsl.normalized(Tensor(frame), np.array([step]))
+    out = adjacency.data[0].copy()
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@experiment("fig11_spatial_correlation")
+def fig11_spatial_correlation(scale: ExperimentScale) -> str:
+    """Fig. 11: learned time-aware adjacency vs ground-truth OD transfer.
+
+    Trains TGCRN on HZMetro, then renders (a) the learned A^t against the
+    true OD matrix for the same morning slot on a weekday and a weekend
+    day (periodicity), and (b) learned vs true matrices over four
+    consecutive time spans of one weekday (trend).  Expected shape
+    (paper): weekday/weekend adjacencies differ and track the
+    corresponding OD regimes; the consecutive-span adjacencies evolve
+    smoothly with the OD flows.  A correlation score accompanies every
+    heat-map pair.
+    """
+    task = _metro_task("hzmetro", scale)
+    model = _tgcrn(task, scale)
+    Trainer(scale.config()).fit(model, task)
+    spd = task.steps_per_day
+    morning = spd // 6  # early-peak slot
+
+    # (a) Periodicity: same slot, Monday (day 0) vs Saturday (day 5).
+    pairs, regimes = [], []
+    for label, day in (("weekday", 0), ("weekend", 5)):
+        step = day * spd + morning
+        learned = _learned_adjacency(model, task, step)
+        truth = task.dataset.od_matrix(step)
+        corr = matrix_correlation(learned, truth)
+        pairs.append(side_by_side(
+            render_heatmap(learned, title=f"learned A^t ({label})"),
+            render_heatmap(truth, title=f"true OD ({label}), corr={corr:+.3f}"),
+        ))
+        regimes.append(learned)
+    sections = [
+        "(a) weekday vs weekend, same slot\n" + "\n\n".join(pairs),
+        f"mean |A_weekday - A_weekend| = {np.abs(regimes[0] - regimes[1]).mean():.4f} "
+        "(>0 => periodic regimes)",
+    ]
+
+    # (b) Trend: four consecutive spans on one weekday.
+    base = 3 * spd + morning  # a Thursday morning
+    spans = [_learned_adjacency(model, task, base + offset) for offset in range(4)]
+    rows = [
+        f"t+{offset}: corr(learned, true OD) = "
+        f"{matrix_correlation(learned, task.dataset.od_matrix(base + offset)):+.3f}"
+        for offset, learned in enumerate(spans)
+    ]
+    drift = np.abs(spans[0] - spans[3]).mean()
+    sections.append("(b) consecutive spans on one weekday\n" + "\n".join(rows))
+    sections.append(f"mean |A^t - A^(t+3)| = {drift:.4f} (smooth trend drift)")
+    return "\n\n".join(sections)
+
+
+@experiment("fig12_time_representation")
+def fig12_time_representation(scale: ExperimentScale) -> str:
+    """Fig. 12: t-SNE of time representations with and without TDL.
+
+    Trains time-embedding tables of the paper's size (73 slots) — one
+    regularized by time-discrepancy learning, one optimized with
+    forecasting loss only — projects each to 2-D with t-SNE, and scores
+    the sequential ordering.  Expected shape (paper): the TDL table lays
+    out in positional order (score near 1), the unregularized table is a
+    "confusing pattern" (markedly lower score).
+    """
+    task = _metro_task("hzmetro", scale)
+
+    def joint_table(lambda_time: float) -> np.ndarray:
+        model = _tgcrn(task, scale)
+        Trainer(scale.config(lambda_time=lambda_time)).fit(model, task, use_tdl=lambda_time > 0)
+        return model.time_encoder.weight.data
+
+    def tdl_only_table() -> np.ndarray:
+        """Upper bound: a table trained on the TDL objective alone."""
+        encoder = DiscreteTimeEmbedding(task.steps_per_day, scale.time_dim,
+                                        rng=np.random.default_rng(1))
+        learner = TimeDiscrepancyLearner(encoder, np.random.default_rng(2), adjacent_range=4)
+        optimizer = Adam([encoder.weight], lr=0.01)
+        windows = np.arange(16)[None, :] + np.arange(0, task.steps_per_day * 4, 7)[:, None]
+        for _ in range(300):
+            optimizer.zero_grad()
+            learner(windows).backward()
+            optimizer.step()
+        return encoder.weight.data
+
+    def tdl_loss(table: np.ndarray) -> float:
+        """Average Eq. 3 loss of a table over fresh Algorithm-1 samples."""
+        encoder = DiscreteTimeEmbedding(task.steps_per_day, table.shape[1],
+                                        rng=np.random.default_rng(0))
+        encoder.load_state_dict({"weight": table})
+        learner = TimeDiscrepancyLearner(encoder, np.random.default_rng(5), adjacent_range=4)
+        windows = task.train.time_indices[:64]
+        return float(np.mean([learner(windows).item() for _ in range(10)]))
+
+    tables = {
+        "with TDL (joint)": joint_table(0.5),
+        "w/o TDL (joint)": joint_table(0.0),
+        "TDL-only (converged)": tdl_only_table(),
+        "random table": np.random.default_rng(9).normal(size=(task.steps_per_day, scale.time_dim)),
+    }
+    lines = [
+        "Fig. 12 reproduction: the ordering score quantifies the 'sequential",
+        "layout' the paper shows visually; the TDL loss is Eq. 3 itself.",
+        "At quick scale the joint models see few TDL gradient steps, so the",
+        "loss moves before the global t-SNE ordering does; the converged",
+        "TDL-only table shows the geometric endpoint (Fig. 12b).",
+        "",
+        f"{'table':<24} {'ordering':>9} {'TDL loss':>9}",
+        "-" * 45,
+    ]
+    for name, table in tables.items():
+        score = ordering_score(tsne(table, iterations=300, seed=0))
+        lines.append(f"{name:<24} {score:9.3f} {tdl_loss(table):9.3f}")
+    return "\n".join(lines)
+
+
+# --------------------------------------------------------------------- #
+# extensions beyond the paper's tables
+# --------------------------------------------------------------------- #
+
+
+@experiment("ablation_extras")
+def ablation_extras(scale: ExperimentScale) -> str:
+    """Extra ablations of design choices DESIGN.md §6 calls out.
+
+    Not in the paper's tables, but implied by its design decisions:
+    normalization of A^t (Eq. 11 says "e.g., the softmax function"),
+    scalar vs per-edge (vector) trend factor, the saturation factor α of
+    the periodic discriminant (the paper fixes 0.3), and the Chebyshev
+    support depth K of the GCGRU convolution.
+    """
+    task = _metro_task("hzmetro", scale)
+    config = scale.config()
+    half = max(2, scale.metro_nodes // 2)
+    rows = [
+        ("baseline (softmax, scalar)", {}),
+        ("norm = sym-laplacian", dict(norm="sym")),
+        ("norm = random-walk", dict(norm="random_walk")),
+        ("trend = vector (per-edge)", dict(trend_mode="vector")),
+        *((f"alpha = {alpha}", dict(alpha=alpha)) for alpha in (0.0, 0.1, 0.6)),
+        ("cheb_k = 1 (no graph hop)", dict(cheb_k=1)),
+        ("cheb_k = 3", dict(cheb_k=3)),
+        (f"top_k = {half} (sparse graph)", dict(top_k=half)),
+        ("graph_update_interval = 2", dict(graph_update_interval=2)),
+    ]
+    lines = [f"{'configuration':<28} | {'MAE':>7} {'RMSE':>8} {'#params':>9}", "-" * 60]
+    for label, overrides in rows:
+        result = _train("tgcrn", task, scale, config, **overrides)
+        lines.append(f"{label:<28} | {result.overall.mae:7.2f} {result.overall.rmse:8.2f} "
+                     f"{result.num_parameters:9,d}")
+    return "\n".join(lines)
+
+
+@experiment("extra_baselines_hzmetro")
+def extra_baselines_hzmetro(scale: ExperimentScale) -> str:
+    """Methods beyond the paper's Table IV on the metro task.
+
+    CCRNN and GTS appear only in the paper's Table V; XGBoost only in the
+    demand setup; MTGNN (the paper's reference [28]) in none of the
+    tables.  This completes the cross-product on HZMetro so every
+    implemented method has at least one metro-task reading.
+    """
+    task = _metro_task("hzmetro", scale)
+    config = scale.config()
+    methods = ("xgboost", "ccrnn", "gts", "mtgnn", "tgcrn")
+    return format_demand_table([_train(m, task, scale, config) for m in methods])
+
+
+@experiment("robustness_events")
+def robustness_events(scale: ExperimentScale) -> str:
+    """Robustness to disruptions (not in the paper).
+
+    Injects station closures and demand surges into the *test* period of
+    an HZMetro-style dataset, then reports each model's MAE separately on
+    regular and disrupted windows.  Expected shape: every model degrades
+    on disrupted windows; models leaning on calendar regularity (HA)
+    degrade most; models reading the recent frames (TGCRN and graph
+    baselines) recover faster.
+    """
+    task = _metro_task("hzmetro", scale)
+    # Events hit only the test range so training stays regular.
+    test_start = int(task.test.time_indices[0, 0])
+    total = task.dataset.num_steps
+    log = inject_events(
+        task.dataset, np.random.default_rng(1), num_closures=2, num_surges=2, duration=6,
+        start_range=(test_start + task.history, total - 6),
+    )
+    # Rebuild the test windows from the mutated raw series.
+    scaled = task.scaler.transform(task.dataset.values[test_start:])
+    task.test = make_windows(
+        scaled, task.dataset.time_index[test_start:], task.history, task.horizon,
+        target_dim=task.out_dim,
+    )
+
+    config = scale.config()
+    lines = [f"{'model':<8} | {'regular MAE':>12} | {'disrupted MAE':>14} | {'degradation':>11}",
+             "-" * 56]
+    for method in ("ha", "dcrnn", "agcrn", "tgcrn"):
+        model = _train(method, task, scale, config, keep_model=True).model
+        if method == "ha":
+            prediction, target = model.evaluate(task, "test")
+        else:
+            prediction, target = Trainer(config).predict(model, task, "test")
+        (reg_p, reg_t), (dis_p, dis_t) = split_regular_disrupted(
+            prediction, target, task.test.time_indices, log
+        )
+        regular_mae = evaluate(reg_p, reg_t).mae if len(reg_p) else float("nan")
+        disrupted_mae = evaluate(dis_p, dis_t).mae if len(dis_p) else float("nan")
+        ratio = disrupted_mae / regular_mae if regular_mae and len(dis_p) else float("nan")
+        lines.append(f"{method:<8} | {regular_mae:12.2f} | {disrupted_mae:14.2f} | {ratio:10.2f}x")
+    lines.append(f"\ninjected events in test range: {len(log.events)}")
+    return "\n".join(lines)
+
+
+@experiment("seed_variance")
+def seed_variance(scale: ExperimentScale) -> str:
+    """Run-to-run variance of the headline comparison.
+
+    Trains TGCRN and the strongest ablation pair on three seeds and
+    reports mean ± std of the test MAE, plus a Wilcoxon significance test
+    between TGCRN and each variant over per-window errors (seed 0).  This
+    quantifies which Table VII deltas are real at this scale and which
+    are noise.
+    """
+    task = _metro_task("hzmetro", scale)
+    models, seeds = ("tgcrn", "wo_tagsl", "wo_pdf"), (0, 1, 2)
+    maes: dict[str, list[float]] = {m: [] for m in models}
+    predictions: dict[tuple[str, int], np.ndarray] = {}
+    for seed in seeds:
+        config = scale.config(seed=seed)
+        for name in models:
+            result = _train(name, task, scale, config, seed=seed, keep_model=True)
+            maes[name].append(result.overall.mae)
+            predictions[(name, seed)], target = Trainer(config).predict(result.model, task, "test")
+
+    lines = [f"{'model':<10} | {'MAE mean':>9} | {'MAE std':>8} | seeds={list(seeds)}", "-" * 50]
+    for name in models:
+        lines.append(f"{name:<10} | {np.mean(maes[name]):9.3f} | {np.std(maes[name]):8.3f} |")
+    lines.append("")
+    for other in ("wo_tagsl", "wo_pdf"):
+        sig = paired_significance(predictions[("tgcrn", 0)], predictions[(other, 0)], target)
+        lines.append(
+            f"Wilcoxon tgcrn vs {other:<8} (seed 0): p = {sig.p_value:.2e}, "
+            f"median per-window error delta = {sig.median_delta:+.3f} "
+            f"({'significant' if sig.significant else 'not significant'})"
+        )
+    return "\n".join(lines)

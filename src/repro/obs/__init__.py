@@ -12,7 +12,7 @@ Six pillars (see docs/observability.md):
   multi-window burn-rate alerts on an injectable clock; structured
   ``slo_burn`` records.
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms/timers with
-  JSONL emission; one schema for trainer, benches, and CLI.
+  JSONL emission; one schema for trainer, experiments, and CLI.
 * :mod:`~repro.obs.runlog` — structured per-epoch run logger replacing
   the trainer's bare ``print`` (JSONL file + compatible console line),
   span-correlated when a span is active.

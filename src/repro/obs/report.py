@@ -13,8 +13,8 @@ writes and answers the questions a trace viewer can't be scripted to:
   (:func:`stage_breakdown`) and the critical path of any single tree
   (:func:`critical_path`);
 * **perf regression** — a noise-aware comparison of a fresh
-  ``bench_table8_cost`` run against committed history
-  (:func:`check_bench_regression`).
+  ``table8_cost`` experiment against the committed
+  ``benchmarks/results/table8_cost.json`` (:func:`check_bench_regression`).
 
 The sentinel's noise model: per-model epoch times are normalized by the
 geometric mean across the models *common to both runs*, which cancels
@@ -381,7 +381,7 @@ def render_report(trees, check: TraceCheck, breakdown: dict) -> str:
 class RegressionFinding:
     """One sentinel verdict: a model's relative cost vs history."""
 
-    kind: str                 # "per_model" | "compile" | "coverage"
+    kind: str                 # "per_model" | "coverage"
     subject: str
     verdict: str              # "ok" | "regression" | "improvement" | "missing"
     ratio: float | None = None
@@ -408,7 +408,7 @@ def _geomean(values) -> float:
 
 
 def _bench_data(payload: dict) -> dict:
-    """Accept either the bench wrapper ({"data": ...}) or bare data."""
+    """Accept either a saved artifact ({"data": ...}) or bare data."""
     return payload.get("data", payload)
 
 
@@ -417,7 +417,6 @@ def check_bench_regression(
     history: dict,
     *,
     threshold: float = 2.0,
-    compile_slack: float = 1.5,
 ) -> list[RegressionFinding]:
     """Compare a fresh bench run against history, machine-speed invariant.
 
@@ -426,9 +425,7 @@ def check_bench_regression(
     slower machine cancels out; a model whose *normalized* cost grew by
     ``threshold``× is flagged.  With six models, a planted 3× slowdown in
     one model lands at ~2.5× normalized (the slowdown inflates the mean
-    by 3^(1/6)) while ±20% per-model noise stays near 1×.  The compile
-    ratio (``compiled_over_eager``) is compared directly — it is already
-    a within-run ratio — with ``compile_slack`` of room.
+    by 3^(1/6)) while ±20% per-model noise stays near 1×.
 
     With fewer than two common models, normalization would cancel the
     signal entirely, so the raw ratio is used (noted in ``detail``).
@@ -466,17 +463,6 @@ def check_bench_regression(
                 current=cur_v, history=hist_v,
                 detail=("normalized by run geometric mean" if normalized
                         else "raw ratio (single common model)")))
-
-    cur_compile = cur.get("compile_speedup", {}).get("compiled_over_eager")
-    hist_compile = hist.get("compile_speedup", {}).get("compiled_over_eager")
-    if cur_compile and hist_compile:
-        ratio = cur_compile / hist_compile
-        verdict = "regression" if ratio >= compile_slack else (
-            "improvement" if ratio <= 1.0 / compile_slack else "ok")
-        findings.append(RegressionFinding(
-            kind="compile", subject="compiled_over_eager", verdict=verdict,
-            ratio=ratio, current=cur_compile, history=hist_compile,
-            detail="within-run ratio, compared directly"))
     return findings
 
 

@@ -29,6 +29,7 @@ an explicit ``source="shed"`` response rather than silence.
 from __future__ import annotations
 
 import copy
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -88,7 +89,8 @@ class ForecastServer:
         Admission bound and micro-batch budget.
     breaker:
         A :class:`~.breaker.CircuitBreaker`; built with defaults when
-        omitted.  Its transitions are re-emitted to metrics + log.
+        omitted.  Its transitions are re-emitted to metrics + log (this
+        replaces any ``on_transition`` hook it was built with).
     batch_timeout:
         Seconds (on ``clock``) a single model batch may take before it
         counts as a breaker *timeout* failure (the output, if valid, is
@@ -149,12 +151,11 @@ class ForecastServer:
         self.logger = logger
         self._clock = clock
         self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
-        # Re-route (don't clobber) any transition callback the caller set.
-        caller_hook = self.breaker._on_transition
-        self.breaker._on_transition = (
-            lambda tr: (self._on_breaker_transition(tr),
-                        caller_hook(tr) if caller_hook else None)
-        )
+        # The hook holds the metrics and logger, not the server: one over
+        # ``self`` would make every server a reference cycle that keeps its
+        # model alive until the cyclic GC runs.
+        self.breaker._on_transition = functools.partial(
+            _record_breaker_transition, self.metrics, logger)
 
         self._model_lock = threading.RLock()
         self._model = model
@@ -632,13 +633,15 @@ class ForecastServer:
                 if root is not None else None
                 for root in roots]
 
-    def _on_breaker_transition(self, transition) -> None:
-        self.metrics.counter(f"serve.breaker_{transition.new}").inc()
-        if transition.new == "open":
-            self.metrics.counter("serve.breaker_trips").inc()
-        self._log(f"breaker_{transition.new}", old=transition.old,
-                  reason=transition.reason)
-
     def _log(self, event: str, **fields) -> None:
         if self.logger is not None:
             self.logger.log(event, **fields)
+
+
+def _record_breaker_transition(metrics: MetricsRegistry, logger, transition) -> None:
+    """A server's breaker hook: count the transition and log it."""
+    metrics.counter(f"serve.breaker_{transition.new}").inc()
+    if transition.new == "open":
+        metrics.counter("serve.breaker_trips").inc()
+    if logger is not None:
+        logger.log(f"breaker_{transition.new}", old=transition.old, reason=transition.reason)

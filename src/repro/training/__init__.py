@@ -4,7 +4,6 @@ from .trainer import DivergenceDetected, Trainer, TrainingConfig, TrainingHistor
 from .experiment import (
     ExperimentResult,
     RepeatedResult,
-    count_parameters,
     default_tgcrn_kwargs,
     run_experiment,
     run_repeated,
@@ -33,7 +32,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingHistory",
     "SignificanceReport",
-    "count_parameters",
     "horizon_curve_text",
     "improvement_over_best_baseline",
     "improvement_table",

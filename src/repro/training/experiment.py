@@ -17,7 +17,6 @@ from ..core.tgcrn import TGCRN
 from ..core.variants import build_variant
 from ..data.datasets import ForecastingTask
 from ..metrics.errors import MetricReport, evaluate, horizon_report
-from ..nn import Module
 from .trainer import Trainer, TrainingConfig
 
 
@@ -172,8 +171,3 @@ def _variant_names() -> set[str]:
     from ..core.variants import VARIANTS
 
     return set(VARIANTS)
-
-
-def count_parameters(model: Module) -> int:
-    """Convenience alias used by the Table VIII bench."""
-    return model.num_parameters()

@@ -58,11 +58,13 @@ def format_ablation_table(results: Sequence[ExperimentResult]) -> str:
     return "\n".join(lines)
 
 
-def format_cost_table(rows: Sequence[tuple[str, int, float]]) -> str:
-    """Table VIII layout: parameter count + seconds per epoch."""
+def format_cost_table(rows: Sequence[tuple[str, int | None, float | None]]) -> str:
+    """Table VIII layout: parameter count + seconds per epoch ("-" for None)."""
     lines = [f"{'Model':<22} | {'# Parameters':>12} | {'s/epoch':>8}", "-" * 50]
     for name, params, seconds in rows:
-        lines.append(f"{name:<22} | {params:12,d} | {seconds:8.3f}")
+        count = "-" if params is None else f"{params:,d}"
+        per_epoch = "-" if seconds is None else f"{seconds:.3f}"
+        lines.append(f"{name:<22} | {count:>12} | {per_epoch:>8}")
     return "\n".join(lines)
 
 

@@ -58,7 +58,7 @@ class TestEndToEnd:
         """Fig. 12 mechanism: joint training with λ·L_time must leave the
         time table with a lower discrepancy loss than the identical model
         trained with λ = 0 (the full t-SNE ordering effect needs the long
-        TDL-only runs exercised in bench_fig12)."""
+        TDL-only runs of the fig12_time_representation experiment)."""
         from repro.core import TimeDiscrepancyLearner
 
         windows = tiny_task.train.time_indices[:64]

@@ -1,7 +1,9 @@
 """ForecastServer lifecycle: serving, shedding, reload, drain, probes."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +208,23 @@ class TestLifecycle:
         server.stop(drain=True)
         assert not errors
         assert len(server.take_responses()) == 12
+
+    def test_dropped_server_is_freed_without_cyclic_gc(self, tiny_task, clock):
+        # Nothing the server owns may point back at it (a breaker hook over
+        # ``self`` did), or a dropped server keeps its model alive until the
+        # cyclic collector happens to run.
+        model = _model(tiny_task)
+        server = ForecastServer(model, tiny_task, clock=clock)
+        server.submit(_payload(tiny_task, 0))
+        assert [r.source for r in server.drain()] == ["model"]
+        server_ref, model_ref = weakref.ref(server), weakref.ref(model)
+        gc.disable()
+        try:
+            del server, model
+            assert server_ref() is None
+            assert model_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDrainTimeout:
